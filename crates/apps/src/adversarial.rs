@@ -9,13 +9,13 @@
 //! merely asserted case-by-case: aggregate recall must be 1.0 on the
 //! taint-preserving cases and precision 1.0 on the taint-killing and
 //! benign ones. The three hand-built families deliberately stress the
-//! SMC machinery PRs 2–3 hardened (decoded-instruction cache and JNI
-//! handler cache invalidation on code-page writes):
+//! SMC machinery (code-cache invalidation on code-page writes, and
+//! the tracer's re-identification of patched instructions):
 //!
 //! * [`detour_leak`] — a function's prologue is overwritten *at
 //!   runtime* with a branch to a patched copy that returns the tainted
 //!   buffer (the detour-rs idiom). The function is called once before
-//!   patching so the stale decode is hot in the icache.
+//!   patching so the stale block is hot in the code cache.
 //! * [`interwork_leak`] — the tainted buffer rides an ARM → Thumb →
 //!   ARM trampoline chain (BLX register interworking both ways) before
 //!   reaching the sink.
@@ -134,10 +134,10 @@ fn detour_app(leak: bool) -> App {
     b.asm.bind(entry).unwrap();
     emit_capture_arg(&mut b, taintbuf);
     // Warm-up call: victim's original first instruction is now decoded
-    // and hot in the icache.
+    // and hot in the code cache.
     b.asm.call_abs(victim_addr);
     // Install the detour over the prologue (an in-guest store into the
-    // library's own text — the icache must shoot the page down).
+    // library's own text — the code cache must shoot the page down).
     b.asm.ldr_const(Reg::R2, detour);
     b.asm.ldr_const(Reg::R3, victim_addr);
     b.asm.str(Reg::R2, Reg::R3, 0);
@@ -265,7 +265,7 @@ fn rewrite_app(leak: bool) -> App {
     // void run(String data) — invoked TWICE from Java. A selector
     // instruction chooses decoy vs tainted payload; the method patches
     // that instruction during each call, so the second invocation runs
-    // different bytes than the handler cache saw the first time.
+    // different bytes than the code cache saw the first time.
     let entry = b.asm.label();
     b.asm.bind(entry).unwrap();
     emit_capture_arg(&mut b, taintbuf);

@@ -226,7 +226,7 @@ mod tests {
         assert!(sys.leaks().is_empty(), "no sink reached, no leak");
         assert!(sys.all_sink_events().is_empty(), "Log.d is not a sink");
         // The native side *did* see tainted data.
-        let stats = sys.ndroid_stats().unwrap();
+        let stats = sys.report().stats.unwrap();
         assert!(stats.source_policies >= 1);
     }
 

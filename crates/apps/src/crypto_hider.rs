@@ -124,7 +124,7 @@ mod tests {
     #[test]
     fn per_byte_xor_went_through_the_tracer() {
         let sys = crypto_hider().run(Mode::NDroid).unwrap();
-        let stats = sys.ndroid_stats().unwrap();
+        let stats = sys.report().stats.unwrap();
         // 9 plaintext bytes x ~6 instructions per loop iteration.
         assert!(stats.insns_traced > 50, "{}", stats.insns_traced);
     }

@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn source_policy_was_created_for_tainted_call() {
         let sys = poc_case2().run(Mode::NDroid).unwrap();
-        let stats = sys.ndroid_stats().unwrap();
+        let stats = sys.report().stats.unwrap();
         assert!(stats.source_policies >= 1);
         assert!(stats.jni_entries >= 1);
         assert!(stats.insns_traced > 0);

@@ -182,7 +182,7 @@ mod tests {
     #[test]
     fn multilevel_chain_fires_for_the_callback() {
         let sys = poc_case3().run(Mode::NDroid).unwrap();
-        let stats = sys.ndroid_stats().unwrap();
+        let stats = sys.report().stats.unwrap();
         assert!(
             stats.chains_activated >= 1,
             "CallVoidMethodA chain activated from native code"

@@ -182,9 +182,9 @@ mod tests {
             // "Delivered to native": a SourcePolicy whose parameter
             // taint carries the contact or SMS bit was installed.
             let delivered_here = sys
-                .ndroid_stats()
-                .map(|s| s.source_policies > 0)
-                .unwrap_or(false)
+                .report()
+                .stats
+                .is_some_and(|s| s.source_policies > 0)
                 && sys.trace.events().iter().any(|e| {
                     e.kind == "jni-entry"
                         && e.text

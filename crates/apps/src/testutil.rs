@@ -9,7 +9,7 @@
 
 use crate::builder::App;
 use ndroid_core::{
-    EngineKind, FlowGraph, Mode, NDroidSystem, ProvEvent, ProvenanceLevel, RunReport,
+    FlowGraph, Mode, NDroidSystem, NativeEngine, ProvEvent, ProvenanceLevel, RunReport,
     SystemConfig,
 };
 use ndroid_dvm::Taint;
@@ -28,7 +28,7 @@ pub fn run_ndroid(build: impl Fn() -> App) -> NDroidSystem {
 
 /// Builds and runs an app under NDroid with the given tracer engine,
 /// returning its report.
-pub fn run_engine(build: impl Fn() -> App, engine: EngineKind) -> RunReport {
+pub fn run_engine(build: impl Fn() -> App, engine: NativeEngine) -> RunReport {
     build()
         .run_with(SystemConfig::ndroid().engine(engine))
         .expect("engine run")
@@ -39,7 +39,7 @@ pub fn run_engine(build: impl Fn() -> App, engine: EngineKind) -> RunReport {
 /// provenance recording level.
 pub fn run_prov(
     build: impl Fn() -> App,
-    engine: EngineKind,
+    engine: NativeEngine,
     level: ProvenanceLevel,
 ) -> NDroidSystem {
     build()
@@ -52,7 +52,7 @@ pub fn run_prov(
 /// sealing on the short gallery streams.
 pub fn run_store(
     build: impl Fn() -> App,
-    engine: EngineKind,
+    engine: NativeEngine,
     level: ProvenanceLevel,
     capacity: usize,
 ) -> NDroidSystem {
@@ -67,62 +67,51 @@ pub fn run_store(
         .expect("app runs")
 }
 
-/// Runs the three tracer configurations — the optimized engine with
-/// superblock dispatch (the default), the optimized engine stepping
-/// per instruction (`blocks(false)`), and the reference engine —
-/// asserts their reports agree on everything externally observable,
-/// and returns the reference-engine report for pinned-leak checks.
+/// Runs the three native engines — superblock dispatch (the default),
+/// the uncached stepper, and the reference engine — asserts each
+/// report names the engine that was requested and that only `Blocks`
+/// compiled blocks, asserts the three agree on everything externally
+/// observable, and returns the reference-engine report for pinned-leak
+/// checks.
 pub fn assert_reports_match(build: impl Fn() -> App, name: &str) -> RunReport {
-    let opt = run_engine(&build, EngineKind::Optimized);
-    let stepper = build()
-        .run_with(SystemConfig::ndroid().blocks(false))
-        .expect("blocks-off run")
-        .report();
-    let reference = run_engine(&build, EngineKind::Reference);
-    assert_eq!(opt.engine, EngineKind::Optimized);
-    assert_eq!(
-        reference.engine,
-        EngineKind::Reference,
-        "{name}: reference engine must actually be installed"
-    );
-
-    assert_eq!(
-        opt.sink_events, reference.sink_events,
-        "{name}: sink-event reports diverge between engines"
-    );
-    assert_eq!(
-        opt.network_log, reference.network_log,
-        "{name}: network logs diverge between engines"
-    );
-    assert_eq!(
-        opt.violations, reference.violations,
-        "{name}: protection violations diverge between engines"
-    );
-    assert_eq!(
-        (opt.native_insns, opt.bytecodes),
-        (reference.native_insns, reference.bytecodes),
-        "{name}: engines executed different instruction counts"
-    );
-    // Superblock dispatch vs the per-instruction stepper on the same
-    // optimized engine: block compilation must be invisible to every
-    // externally observable result.
-    assert_eq!(
-        opt.sink_events, stepper.sink_events,
-        "{name}: sink-event reports diverge between blocks on/off"
-    );
-    assert_eq!(
-        opt.network_log, stepper.network_log,
-        "{name}: network logs diverge between blocks on/off"
-    );
-    assert_eq!(
-        opt.violations, stepper.violations,
-        "{name}: protection violations diverge between blocks on/off"
-    );
-    assert_eq!(
-        (opt.native_insns, opt.bytecodes),
-        (stepper.native_insns, stepper.bytecodes),
-        "{name}: blocks on/off executed different instruction counts"
-    );
+    let reports = [
+        NativeEngine::Blocks,
+        NativeEngine::Stepper,
+        NativeEngine::Reference,
+    ]
+    .map(|engine| (engine, run_engine(&build, engine)));
+    for (engine, report) in &reports {
+        assert_eq!(
+            report.engine, *engine,
+            "{name}: {engine} engine must actually be installed"
+        );
+        let built = report.stats.as_ref().expect("ndroid stats").blocks_built;
+        assert_eq!(
+            built > 0,
+            *engine == NativeEngine::Blocks,
+            "{name}: {engine} engine built {built} blocks"
+        );
+    }
+    let [(_, blocks), (_, stepper), (_, reference)] = reports;
+    for (other, r) in [("stepper", &stepper), ("reference", &reference)] {
+        assert_eq!(
+            blocks.sink_events, r.sink_events,
+            "{name}: sink-event reports diverge between blocks and {other}"
+        );
+        assert_eq!(
+            blocks.network_log, r.network_log,
+            "{name}: network logs diverge between blocks and {other}"
+        );
+        assert_eq!(
+            blocks.violations, r.violations,
+            "{name}: protection violations diverge between blocks and {other}"
+        );
+        assert_eq!(
+            (blocks.native_insns, blocks.bytecodes),
+            (r.native_insns, r.bytecodes),
+            "{name}: blocks and {other} executed different instruction counts"
+        );
+    }
     reference
 }
 

@@ -137,7 +137,7 @@ mod tests {
     #[test]
     fn tracer_processed_thumb_instructions() {
         let sys = thumb_spy().run(Mode::NDroid).unwrap();
-        let stats = sys.ndroid_stats().unwrap();
+        let stats = sys.report().stats.unwrap();
         assert!(
             stats.insns_traced > 20,
             "the copy loop ran under the tracer: {}",

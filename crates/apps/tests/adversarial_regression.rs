@@ -10,7 +10,7 @@ use ndroid_apps::synth::{self, FlowSpec, Hop, Mutation, Sink, Source};
 use ndroid_apps::testutil::{assert_paths_cover_pinned_leaks, assert_reports_match, run_prov};
 use ndroid_apps::App;
 use ndroid_core::report::collect_outcome;
-use ndroid_core::{DetectionReport, EngineKind, Mode, ProvenanceLevel, SystemConfig};
+use ndroid_core::{DetectionReport, Mode, NativeEngine, ProvenanceLevel, SystemConfig};
 use ndroid_testkit::prelude::*;
 
 /// The sensitive value each leaking case actually exfiltrates — as it
@@ -56,10 +56,10 @@ fn detection_matrix_rows_are_pinned() {
     }
     for case in corpus() {
         let nd = report
-            .outcome(case.label, Mode::NDroid, EngineKind::Optimized)
+            .outcome(case.label, Mode::NDroid, NativeEngine::Blocks)
             .unwrap();
         let td = report
-            .outcome(case.label, Mode::TaintDroid, EngineKind::Optimized)
+            .outcome(case.label, Mode::TaintDroid, NativeEngine::Blocks)
             .unwrap();
         if case.expected_leak {
             assert_eq!(nd.cell(), "detected", "{}: NDroid must catch it", case.label);
@@ -83,8 +83,8 @@ fn detection_matrix_rows_are_pinned() {
     );
 }
 
-/// Bit-identical results under `EngineKind::Reference` vs `Optimized`
-/// for every adversarial case — the differential-oracle guarantee
+/// Bit-identical results under the `Blocks`, `Stepper` and `Reference`
+/// engines for every adversarial case — the differential-oracle guarantee
 /// extends to self-patching code, interworking trampolines, and
 /// rewritten JNI bodies.
 #[test]
@@ -105,7 +105,7 @@ fn every_case_is_engine_bit_identical() {
 #[test]
 fn leak_paths_reconstruct_at_full_for_every_family() {
     for case in corpus() {
-        let sys = run_prov(|| case.build(), EngineKind::Optimized, ProvenanceLevel::Full);
+        let sys = run_prov(|| case.build(), NativeEngine::Blocks, ProvenanceLevel::Full);
         let graph = sys.flow_graph();
         if case.expected_leak {
             assert_paths_cover_pinned_leaks(case.label, &sys, &graph);
@@ -120,13 +120,11 @@ fn leak_paths_reconstruct_at_full_for_every_family() {
     }
 }
 
-/// The SMC families force real invalidations in whichever code cache
-/// fronts the interpreter: with superblock dispatch (the default)
-/// their code-page stores must invalidate compiled blocks, and with
-/// blocks off the same stores must invalidate cached decodes (this is
-/// what distinguishes them from the cooperative gallery).
+/// The SMC families force real invalidations in the code cache: their
+/// code-page stores must invalidate compiled blocks (this is what
+/// distinguishes them from the cooperative gallery).
 #[test]
-fn smc_families_invalidate_the_decode_cache() {
+fn smc_families_invalidate_the_block_cache() {
     for build in [
         adversarial::detour_leak as fn() -> App,
         adversarial::detour_benign,
@@ -138,20 +136,13 @@ fn smc_families_invalidate_the_decode_cache() {
             sys.blocks.invalidations > 0,
             "self-patching must invalidate compiled blocks"
         );
-        let sys = build()
-            .run_with(SystemConfig::ndroid().blocks(false))
-            .expect("app runs");
-        assert!(
-            sys.icache.invalidations > 0,
-            "self-patching must invalidate cached decodes"
-        );
     }
 }
 
 /// The block-cache counters ride along in [`RunReport::stats`]: for
 /// the detour family the default run compiles and re-dispatches
 /// blocks (and invalidates them when the detour patches itself),
-/// while a blocks-off run surfaces all-zero counters.
+/// while a stepper run surfaces all-zero counters.
 #[test]
 fn detour_family_surfaces_block_cache_counters() {
     let sys = adversarial::detour_leak().run(Mode::NDroid).expect("app runs");
@@ -165,13 +156,13 @@ fn detour_family_surfaces_block_cache_counters() {
     assert!(stats.block_invalidations > 0, "the self-patch dropped stale blocks");
 
     let off = adversarial::detour_leak()
-        .run_with(SystemConfig::ndroid().blocks(false))
+        .run_with(SystemConfig::ndroid().engine(NativeEngine::Stepper))
         .expect("app runs");
     let stats = off.report().stats.expect("ndroid stats");
     assert_eq!(
         (stats.blocks_built, stats.block_hits, stats.block_misses, stats.block_invalidations),
         (0, 0, 0, 0),
-        "blocks off: the cache is never consulted"
+        "stepper: the cache is never consulted"
     );
 }
 

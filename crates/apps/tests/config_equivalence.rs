@@ -6,7 +6,7 @@
 //! into it.
 
 use ndroid_apps::{crypto_hider, qq_phonebook, thumb_spy, App};
-use ndroid_core::{EngineKind, Mode, RunReport, SourcePolicyOverride, SystemConfig};
+use ndroid_core::{Mode, NativeEngine, RunReport, SourcePolicyOverride, SystemConfig};
 
 const GALLERY: [(&str, fn() -> App); 3] = [
     ("qq_phonebook", qq_phonebook::qq_phonebook),
@@ -52,7 +52,7 @@ fn reference_config_selects_the_reference_engine_deterministically() {
             .run_with(SystemConfig::ndroid().reference())
             .expect("reference run")
             .report();
-        assert_eq!(first.engine, EngineKind::Reference, "{name}");
+        assert_eq!(first.engine, NativeEngine::Reference, "{name}");
         assert!(first.leaked(), "{name}: gallery app must leak on the reference engine");
 
         let second = build()

@@ -1,14 +1,14 @@
-//! Gallery-level differential oracle: each gallery app runs twice —
-//! once under the optimized NDroid engine (handler cache + decoded-
-//! instruction cache) and once with the reference engine substituted
-//! (`SystemConfig::reference()`: straight-line `ref_propagate`, no
-//! caches) — and the externally observable [`RunReport`]s must match:
+//! Gallery-level differential oracle: each gallery app runs three
+//! times — under the superblock engine, the uncached stepper, and the
+//! reference engine (`SystemConfig::reference()`: straight-line
+//! `ref_propagate`, no lowering, no caches) — and the externally
+//! observable [`RunReport`]s must match:
 //! leak events (sink, destination, payload, taint label, context), the
 //! kernel's network log, protection violations, and work counters.
 //!
 //! This closes the gap the pure-native property suite cannot cover:
 //! JNI marshalling, source policies, host-modeled libc functions and
-//! sinks all read the *shared* shadow state, so an optimized-tracer
+//! sinks all read the *shared* shadow state, so a production-tracer
 //! bug anywhere on those paths shows up as a report diff here.
 
 use ndroid_apps::testutil::assert_reports_match;

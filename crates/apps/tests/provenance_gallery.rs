@@ -6,12 +6,12 @@
 
 use ndroid_apps::qq_phonebook;
 use ndroid_apps::testutil::{assert_paths_cover_pinned_leaks, run_prov as run, run_store, GALLERY};
-use ndroid_core::{EngineKind, FlowGraph, ProvEvent, ProvenanceLevel};
+use ndroid_core::{FlowGraph, NativeEngine, ProvEvent, ProvenanceLevel};
 
 #[test]
 fn gallery_leak_paths_reconstruct_under_full() {
     for (name, build) in GALLERY {
-        let sys = run(build, EngineKind::Optimized, ProvenanceLevel::Full);
+        let sys = run(build, NativeEngine::Blocks, ProvenanceLevel::Full);
         let graph = sys.flow_graph();
         assert_paths_cover_pinned_leaks(name, &sys, &graph);
         // Full level additionally carries native block summaries.
@@ -28,7 +28,7 @@ fn gallery_leak_paths_reconstruct_under_full() {
 #[test]
 fn gallery_leak_paths_reconstruct_under_summary() {
     for (name, build) in GALLERY {
-        let sys = run(build, EngineKind::Optimized, ProvenanceLevel::Summary);
+        let sys = run(build, NativeEngine::Blocks, ProvenanceLevel::Summary);
         let graph = sys.flow_graph();
         assert_paths_cover_pinned_leaks(name, &sys, &graph);
         assert!(
@@ -45,8 +45,8 @@ fn gallery_leak_paths_reconstruct_under_summary() {
 fn engines_record_identical_event_streams() {
     for level in [ProvenanceLevel::Summary, ProvenanceLevel::Full] {
         for (name, build) in GALLERY {
-            let opt = run(build, EngineKind::Optimized, level);
-            let refr = run(build, EngineKind::Reference, level);
+            let opt = run(build, NativeEngine::Blocks, level);
+            let refr = run(build, NativeEngine::Reference, level);
             assert_eq!(
                 opt.prov_events(),
                 refr.prov_events(),
@@ -64,7 +64,7 @@ fn engines_record_identical_event_streams() {
 #[test]
 fn report_summary_digests_the_graph() {
     for (name, build) in GALLERY {
-        let sys = run(build, EngineKind::Optimized, ProvenanceLevel::Full);
+        let sys = run(build, NativeEngine::Blocks, ProvenanceLevel::Full);
         let graph = sys.flow_graph();
         let report = sys.report();
         let summary = report.provenance.expect("Full run carries a summary");
@@ -80,7 +80,7 @@ fn report_summary_digests_the_graph() {
 #[test]
 fn off_level_records_nothing_and_reports_none() {
     for (name, build) in GALLERY {
-        let sys = run(build, EngineKind::Optimized, ProvenanceLevel::Off);
+        let sys = run(build, NativeEngine::Blocks, ProvenanceLevel::Off);
         assert!(sys.prov_events().is_empty(), "{name}");
         assert_eq!(sys.flow_graph().total_leak_paths(), 0, "{name}");
         let report = sys.report();
@@ -96,8 +96,8 @@ fn off_level_records_nothing_and_reports_none() {
 #[test]
 fn tiered_store_preserves_goldens_and_skips_segments() {
     for (name, build) in GALLERY {
-        let flat = run(build, EngineKind::Optimized, ProvenanceLevel::Full);
-        let sys = run_store(build, EngineKind::Optimized, ProvenanceLevel::Full, 4);
+        let flat = run(build, NativeEngine::Blocks, ProvenanceLevel::Full);
+        let sys = run_store(build, NativeEngine::Blocks, ProvenanceLevel::Full, 4);
         assert_eq!(sys.prov_events(), flat.prov_events(), "{name}: stream unchanged");
         let report = sys.report();
         let summary = report.provenance.expect("tiered run carries a summary");
@@ -147,7 +147,7 @@ fn tiered_store_preserves_goldens_and_skips_segments() {
 #[test]
 fn flat_runs_report_no_store_and_zero_segments() {
     for (name, build) in GALLERY {
-        let sys = run(build, EngineKind::Optimized, ProvenanceLevel::Full);
+        let sys = run(build, NativeEngine::Blocks, ProvenanceLevel::Full);
         let report = sys.report();
         assert!(report.provenance_store.is_none(), "{name}");
         let summary = report.provenance.expect("summary");
@@ -164,7 +164,7 @@ fn qq_phonebook_path_walks_the_jni_round_trip() {
     // from Java with the 0x202 union label.
     let sys = run(
         qq_phonebook::qq_phonebook,
-        EngineKind::Optimized,
+        NativeEngine::Blocks,
         ProvenanceLevel::Full,
     );
     let graph = sys.flow_graph();

@@ -3,15 +3,15 @@
 //! produce a [`ndroid_core::RunReport`] **equal** to a freshly booted
 //! system driven the same way — including the provenance flow-graph
 //! fingerprint at [`ProvenanceLevel::Full`] and every cache counter —
-//! across all three tracer engines (optimized, blocks-off, reference).
+//! across all three native engines (blocks, stepper, reference).
 //!
 //! Also pins the nastiest coherency case: the detour app overwrites
 //! its own prologue *at runtime* (self-modifying code) after a fork
-//! whose decode/superblock caches were carried warm from the parent.
+//! whose superblock cache was carried warm from the parent.
 
 use ndroid_apps::adversarial;
 use ndroid_apps::driver::{drive, gated_leak_app, GATED_ENTRIES};
-use ndroid_core::{NDroidSystem, ProvenanceLevel, RunReport, SystemConfig};
+use ndroid_core::{NDroidSystem, NativeEngine, ProvenanceLevel, RunReport, SystemConfig};
 
 /// The three engine configurations the gate must hold for, all with
 /// full provenance so the report carries event fingerprints.
@@ -20,8 +20,8 @@ fn engine_configs() -> Vec<(&'static str, SystemConfig)> {
         .quiet(true)
         .provenance(ProvenanceLevel::Full);
     vec![
-        ("optimized", base.clone()),
-        ("no-blocks", base.clone().blocks(false)),
+        ("blocks", base.clone()),
+        ("stepper", base.clone().engine(NativeEngine::Stepper)),
         ("reference", base.reference()),
     ]
 }
@@ -74,8 +74,8 @@ fn parent_divergence_never_bleeds_into_forks() {
 
 /// Self-modifying code after a fork: the detour app installs an
 /// inline `B target` over its own prologue from in-guest stores. The
-/// fork's decode and superblock caches were carried warm from the
-/// parent's image, so a stale cache would run the *unpatched* decoy
+/// fork's superblock cache was carried warm from the parent's image,
+/// so a stale cache would run the *unpatched* decoy
 /// and miss the leak. Regression for the epoch/rebind protocol.
 #[test]
 fn smc_after_fork_detour_regression() {

@@ -1,12 +1,16 @@
-//! Superblock discovery and pre-compiled taint "effect programs".
+//! Superblock discovery, pre-compiled taint "effect programs", and the
+//! one code cache.
 //!
-//! The stepper pays per-instruction overhead three times over: a decode
-//! (or icache probe), a dynamic-dispatch `on_insn` that re-classifies
-//! the instruction, and a full `match` over [`Instr`] to propagate
-//! taint. This module lifts all three to basic-block granularity, the
+//! "To speed up the identification of the instruction type and the
+//! search of the handler, NDroid caches hot instructions and the
+//! corresponding handlers" (§V-C). [`BlockCache`] is that cache. The
+//! uncached stepper pays per instruction for a decode, an `on_insn`
+//! that re-identifies the instruction, and a Table V lowering. This
+//! module lifts all three to basic-block granularity, the
 //! interpreter-shaped analogue of QEMU's translation blocks: starting
 //! from a block entry we decode forward *once*, bake each instruction's
-//! taint semantics into a straight-line [`TaintOp`], and cache the
+//! taint semantics into a straight-line [`TaintOp`] via [`lower_taint`]
+//! (the one Table V lowering, shared with the stepper), and cache the
 //! resulting [`Block`] per page so a hot loop re-dispatches a single
 //! block instead of N instructions.
 //!
@@ -19,14 +23,14 @@
 //! detection (`is_branch` + unconditional condition) is purely a
 //! sizing heuristic.
 //!
-//! Invalidation reuses the exact protocol of [`crate::icache`]: each
-//! cache page pins its [`Memory`] slot and records the
-//! [`Memory::page_version`] write generation it was built under; a
-//! lookup under a newer generation drops every block on the page.
-//! Blocks never span a page (discovery stops at the boundary, and
-//! page-straddling instructions are excluded like the icache does), so
-//! one generation word covers all of a block's code bytes. Stores *by*
-//! a block into its own page are the one case lazy invalidation cannot
+//! Invalidation is page-wise and lazy: each cache page pins its
+//! [`Memory`] slot and records the [`Memory::page_version`] write
+//! generation it was built under; a lookup under a newer generation
+//! drops every block on the page, so guest writes never have to notify
+//! the cache. Blocks never span a page (discovery stops at the
+//! boundary and excludes page-straddling instructions), so one
+//! generation word covers all of a block's code bytes. Stores *by* a
+//! block into its own page are the one case lazy invalidation cannot
 //! see mid-flight; [`Block::store_hits_code`] gives executors the
 //! arithmetic check they use to bail out of the block after such a
 //! store and re-enter through the (now stale, hence rebuilt) cache.
@@ -48,8 +52,7 @@ pub const NO_REG: u8 = 16;
 /// One instruction's taint semantics, pre-compiled from [`Instr`] by
 /// [`lower_taint`]. The encoding is taint-representation-agnostic — it
 /// names shadow registers/slots and widths, and the tracer crate
-/// interprets it against its own taint type, mirroring its per-`Instr`
-/// `propagate` arm bit for bit.
+/// interprets it against its own taint type.
 ///
 /// An op is only applied when the instruction's condition passed
 /// (`Effect::executed`); the addressing data (`Effect::addr`) still
@@ -143,10 +146,10 @@ pub enum TaintOp {
     },
 }
 
-/// Whether an instruction touches taint state at all. This is the
-/// block-compiled twin of the tracer's handler classification: control
+/// Whether an instruction touches taint state at all: control
 /// transfers and `SVC` carry no Table V handler, everything else is
-/// traced.
+/// traced. Blocks bake this in per step; the stepper tracer applies it
+/// to the instruction it re-identifies from guest memory.
 #[inline]
 pub fn is_taint_relevant(instr: &Instr) -> bool {
     !matches!(
@@ -161,9 +164,10 @@ fn bit(r: Reg) -> u16 {
     1 << r.index()
 }
 
-/// Pre-compiles one instruction's Table V taint semantics. Mirrors the
-/// tracer's `propagate` match arm for arm; the differential test in the
-/// tracer crate holds the two implementations bit-identical.
+/// Pre-compiles one instruction's Table V taint semantics — the one
+/// lowering every engine but the reference oracle runs. The tracer
+/// crate's differential test holds it bit-identical to the oracle's
+/// independent `ref_propagate`.
 pub fn lower_taint(instr: &Instr) -> TaintOp {
     match *instr {
         Instr::Dp {
@@ -324,12 +328,7 @@ impl BlockStep {
             instr,
             size,
             relevant: is_taint_relevant(&instr),
-            is_store: matches!(
-                instr,
-                Instr::Mem { load: false, .. }
-                    | Instr::MemMulti { load: false, .. }
-                    | Instr::VfpMem { load: false, .. }
-            ),
+            is_store: instr.is_store(),
             store_bytes: store_bytes(&instr),
             taint: lower_taint(&instr),
         }
@@ -486,7 +485,7 @@ impl BlockPage {
     }
 
     /// Current write generation of the backing guest page, pinning the
-    /// slot on first success — same protocol as the icache.
+    /// slot on first success.
     #[inline]
     fn live_version(&mut self, mem: &Memory, pageno: u32) -> u64 {
         match self.mem_slot {
@@ -508,17 +507,17 @@ impl std::fmt::Debug for BlockPage {
     }
 }
 
-/// Page-organized cache of compiled [`Block`]s, invalidated by the same
-/// [`Memory::page_version`] write generations as the decoded-instruction
-/// cache. See the module docs for the protocol.
+/// Page-organized cache of compiled [`Block`]s, invalidated by
+/// [`Memory::page_version`] write generations. See the module docs for
+/// the protocol.
 ///
-/// Like [`DecodeCache`](crate::icache::DecodeCache), the cache is bound
-/// to one [`Memory::epoch`] slot lineage: a lookup against a memory
-/// from another lineage drops everything (pinned slots could alias
-/// different guest pages there), while a snapshot fork that carries
-/// memory and cache together re-binds via
-/// [`rebind_epoch`](BlockCache::rebind_epoch) and keeps its compiled
-/// blocks warm.
+/// The cache is bound to one [`Memory::epoch`] slot lineage: a lookup
+/// against a memory from another lineage drops everything (an unrelated
+/// memory can map a different guest page into a pinned slot with the
+/// same write generation, which the version compare alone cannot
+/// detect), while a snapshot fork that carries memory and cache
+/// together re-binds via [`rebind_epoch`](BlockCache::rebind_epoch)
+/// and keeps its compiled blocks warm.
 #[derive(Debug, Default, Clone)]
 pub struct BlockCache {
     pages: Vec<BlockPage>,
@@ -528,7 +527,8 @@ pub struct BlockCache {
     /// against (0 = not yet bound).
     epoch: u64,
     /// When `false`, the run loop never consults or fills the cache and
-    /// degrades to per-instruction stepping (the `blocks` A/B knob).
+    /// degrades to per-instruction stepping (set from the system's
+    /// native engine: only the `Blocks` engine enables it).
     pub enabled: bool,
     /// Block dispatches answered from the cache.
     pub hits: u64,
@@ -571,15 +571,14 @@ impl BlockCache {
     /// Declares the cached blocks valid against the slot lineage
     /// `epoch` without dropping them — for snapshot forks only, which
     /// clone memory and cache as a unit so every pinned slot still
-    /// means the same guest page (see
-    /// [`DecodeCache::rebind_epoch`](crate::icache::DecodeCache::rebind_epoch)).
+    /// means the same guest page, and the carried blocks (and the
+    /// hit/miss counters) stay replay-identical to a fresh run.
     pub fn rebind_epoch(&mut self, epoch: u64) {
         self.epoch = epoch;
     }
 
-    /// Lineage guard shared with the icache: everything is dropped when
-    /// handed a `Memory` whose epoch differs from the one the entries
-    /// were pinned under.
+    /// Lineage guard: everything is dropped when handed a `Memory` whose
+    /// epoch differs from the one the entries were pinned under.
     #[inline]
     fn check_epoch(&mut self, mem: &Memory) {
         if self.epoch != mem.epoch() {
@@ -773,9 +772,9 @@ mod tests {
 
     #[test]
     fn different_lineage_memory_drops_cached_blocks() {
-        // Same cross-lineage aliasing hazard as the icache: an
-        // unrelated memory can reproduce the pinned slot+version shape
-        // while holding different bytes, so lineage is part of validity.
+        // The cross-lineage aliasing hazard: an unrelated memory can
+        // reproduce the pinned slot+version shape while holding
+        // different bytes, so lineage is part of validity.
         let mem = code(&[ADD_R0_1, BX_LR], 0x8000);
         let mut c = BlockCache::new();
         let b = build_block(&mem, 0x8000, false, |_| false).unwrap();

@@ -10,7 +10,6 @@
 use crate::cpu::Cpu;
 use crate::decode::decode_arm;
 use crate::error::ArmError;
-use crate::icache::DecodeCache;
 use crate::insn::{AddrMode4, DpOp, Instr, MemOffset, MemSize, Op2, ShiftKind, VfpOp, VfpPrec};
 use crate::mem::Memory;
 use crate::reg::Reg;
@@ -54,41 +53,8 @@ pub struct Effect {
 /// execution errors such as [`ArmError::Unsupported`].
 pub fn step(cpu: &mut Cpu, mem: &mut Memory) -> Result<Effect, ArmError> {
     let pc = cpu.pc();
-    let (instr, size) = fetch_decode(cpu, mem, pc)?;
+    let (instr, size) = decode_at(mem, pc, cpu.thumb)?;
     step_decoded(cpu, mem, instr, size)
-}
-
-/// Like [`step`], but consults (and fills) a [`DecodeCache`] instead of
-/// re-decoding every fetch. The cache validates itself against the
-/// memory page's write generation, so self-modifying code is re-decoded
-/// transparently; a disabled cache degrades to plain [`step`].
-///
-/// # Errors
-///
-/// Same as [`step`].
-pub fn step_cached(
-    cpu: &mut Cpu,
-    mem: &mut Memory,
-    icache: &mut DecodeCache,
-) -> Result<Effect, ArmError> {
-    if !icache.enabled {
-        return step(cpu, mem);
-    }
-    let pc = cpu.pc();
-    let (instr, size) = match icache.lookup(mem, pc, cpu.thumb) {
-        Some(hit) => hit,
-        None => {
-            let (instr, size) = fetch_decode(cpu, mem, pc)?;
-            icache.insert(mem, pc, cpu.thumb, instr, size);
-            (instr, size)
-        }
-    };
-    step_decoded(cpu, mem, instr, size)
-}
-
-#[inline]
-fn fetch_decode(cpu: &Cpu, mem: &Memory, pc: u32) -> Result<(Instr, u8), ArmError> {
-    decode_at(mem, pc, cpu.thumb)
 }
 
 /// Decodes the instruction at `pc` in the given instruction set,
@@ -110,7 +76,8 @@ pub fn decode_at(mem: &Memory, pc: u32, thumb: bool) -> Result<(Instr, u8), ArmE
 }
 
 /// Executes an already-decoded instruction at the current PC (the
-/// shared back half of [`step`] and [`step_cached`]).
+/// back half of [`step`], and how superblocks replay their
+/// pre-decoded steps).
 ///
 /// # Errors
 ///

@@ -423,6 +423,17 @@ impl Instr {
             _ => false,
         }
     }
+
+    /// Whether this instruction writes memory (`STR*`, `STM`/`PUSH`,
+    /// `VSTR`) — true even for an empty-list `STM`.
+    pub fn is_store(&self) -> bool {
+        matches!(
+            self,
+            Instr::Mem { load: false, .. }
+                | Instr::MemMulti { load: false, .. }
+                | Instr::VfpMem { load: false, .. }
+        )
+    }
 }
 
 impl fmt::Display for Instr {

@@ -53,7 +53,6 @@ pub mod disasm;
 pub mod encode;
 pub mod error;
 pub mod exec;
-pub mod icache;
 pub mod insn;
 pub mod mem;
 pub mod reg;
@@ -64,8 +63,7 @@ pub use block::{build_block, Block, BlockCache, BlockStep, TaintOp};
 pub use cond::Cond;
 pub use cpu::Cpu;
 pub use error::ArmError;
-pub use exec::{step, step_cached, step_decoded, Branch, Effect};
-pub use icache::DecodeCache;
+pub use exec::{step, step_decoded, Branch, Effect};
 pub use insn::{AddrMode4, DpOp, Instr, MemOffset, MemSize, Op2, ShiftKind};
 pub use mem::Memory;
 pub use reg::Reg;

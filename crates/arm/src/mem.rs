@@ -5,9 +5,9 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// log2 of the guest page size. Shared by the decoded-instruction
-/// cache and the emulator's shadow taint memory so all three layers
-/// slice the address space identically.
+/// log2 of the guest page size. Shared by the superblock cache and
+/// the emulator's shadow taint memory so all three layers slice the
+/// address space identically.
 pub const PAGE_SHIFT: u32 = 12;
 /// Guest page size in bytes (4 KiB).
 pub const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
@@ -43,7 +43,7 @@ pub struct Memory {
     tlb: Cell<Option<(u32, u32)>>, // (page number, pages[] slot)
     /// Per-page write generation, parallel to `pages`. Bumped on every
     /// write that touches the page; consumers holding derived state
-    /// (the decoded-instruction cache) compare against it to detect
+    /// (the superblock cache) compare against it to detect
     /// self-modifying code. An unmapped page reports generation 0 and
     /// a freshly materialized page starts at 1, so any transition is
     /// observable.
@@ -100,13 +100,12 @@ impl Memory {
     }
 
     /// The slot-lineage epoch (nonzero, process-unique). Derived caches
-    /// that pin `pages[]` slots (the decode cache, the block cache, the
-    /// tracer's handler cache) record the epoch of the `Memory` they
-    /// were warmed against and must discard everything when handed a
-    /// `Memory` with a different epoch: after a fork diverges, the same
-    /// slot number can back a *different guest page* in each lineage,
-    /// so a slot-pinned version compare alone would silently validate
-    /// stale entries.
+    /// that pin `pages[]` slots (the superblock cache) record the epoch
+    /// of the `Memory` they were warmed against and must discard
+    /// everything when handed a `Memory` with a different epoch: after
+    /// a fork diverges, the same slot number can back a *different
+    /// guest page* in each lineage, so a slot-pinned version compare
+    /// alone would silently validate stale entries.
     #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -183,9 +182,8 @@ impl Memory {
 
     /// The `pages[]` slot backing `pageno`, if materialized. Slots are
     /// stable for the lifetime of the `Memory` (pages are only ever
-    /// appended), so derived caches — the decoded-instruction cache and
-    /// the taint tracer's handler-classification cache — may pin a slot
-    /// once and then poll [`Memory::version_by_slot`] without touching
+    /// appended), so derived caches (the superblock cache) may pin a
+    /// slot once and then poll [`Memory::version_by_slot`] without touching
     /// the TLB or the page index again. A pinned slot is only
     /// meaningful within one slot lineage — see [`Memory::epoch`].
     #[inline]

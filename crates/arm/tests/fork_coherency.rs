@@ -1,15 +1,13 @@
 //! Cache coherency at page seams and across forks.
 //!
 //! A guest store that **straddles a page boundary** patches code on
-//! two pages with one write; both the decoded-instruction cache and
-//! the superblock cache must invalidate *both* pages (a single-page
-//! invalidation would keep serving the stale half). And a cache
-//! carried warm across a [`Memory::fork`] must apply exactly the same
-//! rules against the fork's pages.
+//! two pages with one write; the superblock cache must invalidate
+//! *both* pages (a single-page invalidation would keep serving the
+//! stale half). And a cache carried warm across a [`Memory::fork`]
+//! must apply exactly the same rules against the fork's pages.
 
 use ndroid_arm::asm::encoding_of;
 use ndroid_arm::block::{build_block, BlockCache};
-use ndroid_arm::icache::DecodeCache;
 use ndroid_arm::mem::PAGE_SIZE;
 use ndroid_arm::{Memory, Reg};
 
@@ -25,45 +23,38 @@ fn seam_code(mem: &mut Memory, lo_imm: u32, hi_imm: u32) {
     mem.write_u32(HI_PC + 4, encoding_of(|a| a.bx(Reg::LR)));
 }
 
-/// Fills both caches at the seam and returns them primed (one decoded
-/// instruction and one block per page, all lookups hitting).
-fn primed_caches(mem: &Memory) -> (DecodeCache, BlockCache) {
-    let mut icache = DecodeCache::new();
+/// Fills the cache at the seam and returns it primed (one block per
+/// page, all lookups hitting).
+fn primed_cache(mem: &Memory) -> BlockCache {
     let mut blocks = BlockCache::new();
     for pc in [LO_PC, HI_PC] {
-        assert!(icache.lookup(mem, pc, false).is_none());
-        let (instr, size) =
-            ndroid_arm::exec::decode_at(mem, pc, false).expect("decodable");
-        icache.insert(mem, pc, false, instr, size);
-        assert!(icache.lookup(mem, pc, false).is_some());
-
         assert!(blocks.lookup(mem, pc, false).is_none());
         let block = build_block(mem, pc, false, |_| false).expect("block");
         blocks.insert(mem, block);
         assert!(blocks.lookup(mem, pc, false).is_some());
     }
-    (icache, blocks)
+    blocks
 }
 
 #[test]
-fn straddling_code_patch_invalidates_both_pages_in_both_caches() {
+fn straddling_code_patch_invalidates_both_pages() {
     let mut mem = Memory::new();
     seam_code(&mut mem, 1, 2);
-    let (mut icache, mut blocks) = primed_caches(&mem);
+    let mut blocks = primed_cache(&mem);
 
     // One unaligned u32 store across the seam: its low half lands on
     // page 1 (tail of the LO_PC encoding), its high half on page 2
     // (head of the HI_PC encoding).
     mem.write_u32(HI_PC - 2, 0xE1A0_E1A0);
 
-    assert!(icache.lookup(&mem, LO_PC, false).is_none(), "low page stale");
-    assert!(icache.lookup(&mem, HI_PC, false).is_none(), "high page stale");
-    assert_eq!(
-        icache.invalidations, 2,
-        "decode cache must invalidate both straddled pages"
+    assert!(
+        blocks.lookup(&mem, LO_PC, false).is_none(),
+        "low page stale"
     );
-    assert!(blocks.lookup(&mem, LO_PC, false).is_none());
-    assert!(blocks.lookup(&mem, HI_PC, false).is_none());
+    assert!(
+        blocks.lookup(&mem, HI_PC, false).is_none(),
+        "high page stale"
+    );
     assert_eq!(
         blocks.invalidations, 2,
         "block cache must invalidate both straddled pages"
@@ -71,36 +62,34 @@ fn straddling_code_patch_invalidates_both_pages_in_both_caches() {
 }
 
 #[test]
-fn carried_caches_catch_straddling_patch_after_fork() {
+fn carried_cache_catches_straddling_patch_after_fork() {
     let mut mem = Memory::new();
     seam_code(&mut mem, 1, 2);
-    let (icache, blocks) = primed_caches(&mem);
+    let blocks = primed_cache(&mem);
 
-    // Fork memory and carry both caches warm, the snapshot way.
+    // Fork memory and carry the cache warm, the snapshot way.
     let mut fmem = mem.fork();
-    let mut ficache = icache.clone();
-    ficache.rebind_epoch(fmem.epoch());
     let mut fblocks = blocks.clone();
     fblocks.rebind_epoch(fmem.epoch());
-    assert!(ficache.lookup(&fmem, LO_PC, false).is_some(), "carried warm");
-    assert!(fblocks.lookup(&fmem, HI_PC, false).is_some(), "carried warm");
+    assert!(
+        fblocks.lookup(&fmem, LO_PC, false).is_some(),
+        "carried warm"
+    );
+    assert!(
+        fblocks.lookup(&fmem, HI_PC, false).is_some(),
+        "carried warm"
+    );
 
     // The straddling patch in the fork privatizes both CoW pages and
-    // must invalidate both in the carried caches...
+    // must invalidate both in the carried cache...
     fmem.write_u32(HI_PC - 2, 0xE1A0_E1A0);
-    assert!(ficache.lookup(&fmem, LO_PC, false).is_none());
-    assert!(ficache.lookup(&fmem, HI_PC, false).is_none());
     assert!(fblocks.lookup(&fmem, LO_PC, false).is_none());
     assert!(fblocks.lookup(&fmem, HI_PC, false).is_none());
-    assert_eq!(ficache.invalidations, 2);
     assert_eq!(fblocks.invalidations, 2);
 
-    // ...while the parent's caches still serve the parent's untouched
+    // ...while the parent's cache still serves the parent's untouched
     // pages without a single invalidation.
-    let mut picache = icache;
     let mut pblocks = blocks;
-    assert!(picache.lookup(&mem, LO_PC, false).is_some());
     assert!(pblocks.lookup(&mem, LO_PC, false).is_some());
-    assert_eq!(picache.invalidations, 0);
     assert_eq!(pblocks.invalidations, 0);
 }

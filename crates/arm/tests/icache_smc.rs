@@ -1,24 +1,48 @@
-//! Self-modifying-code correctness of the decoded-instruction cache:
-//! a write to a cached code page must cause the *new* bytes to be
-//! decoded on the next fetch (page-wise invalidation via memory write
-//! generations), both for in-guest stores and for host-side writes
-//! between runs.
+//! Self-modifying-code correctness of the superblock cache: a write to
+//! a cached code page must cause the *new* bytes to be decoded on the
+//! next fetch (page-wise invalidation via memory write generations),
+//! both for in-guest stores and for host-side writes between runs.
 
 use ndroid_arm::asm::encoding_of;
-use ndroid_arm::exec::step_cached;
-use ndroid_arm::icache::DecodeCache;
+use ndroid_arm::block::{build_block, BlockCache};
+use ndroid_arm::exec::{step, step_decoded};
 use ndroid_arm::{Assembler, Cond, Cpu, Memory, Reg};
 
 const SENTINEL: u32 = 0xFFFF_FF00;
 
-fn run(cpu: &mut Cpu, mem: &mut Memory, cache: &mut DecodeCache, entry: u32) {
+/// A minimal block dispatcher with the emulator run loop's exit rules:
+/// leave a block after any taken branch and after an executed store
+/// into the block's own code page.
+fn run(cpu: &mut Cpu, mem: &mut Memory, cache: &mut BlockCache, entry: u32) {
     cpu.regs[14] = SENTINEL;
     cpu.set_pc(entry);
     let mut budget = 10_000u32;
     while cpu.pc() != SENTINEL {
-        step_cached(cpu, mem, cache).expect("step");
-        budget -= 1;
-        assert!(budget > 0, "runaway guest");
+        let pc = cpu.pc();
+        let block = match cache.lookup(mem, pc, cpu.thumb) {
+            Some(block) => block.clone(),
+            None => match build_block(mem, pc, cpu.thumb, |_| false) {
+                Some(block) => cache.insert(mem, block).clone(),
+                None => {
+                    step(cpu, mem).expect("step");
+                    budget -= 1;
+                    continue;
+                }
+            },
+        };
+        for s in block.steps() {
+            let effect = step_decoded(cpu, mem, s.instr, s.size).expect("step");
+            budget -= 1;
+            assert!(budget > 0, "runaway guest");
+            let own_page_store = s.store_bytes != 0
+                && effect.executed
+                && effect
+                    .addr
+                    .is_some_and(|a| block.store_hits_code(a, s.store_bytes));
+            if effect.branch.is_some() || own_page_store {
+                break;
+            }
+        }
     }
 }
 
@@ -48,7 +72,7 @@ fn guest_store_into_own_code_page_is_reexecuted_fresh() {
     mem.write_bytes(base, &code.bytes);
     let mut cpu = Cpu::new();
     cpu.regs[13] = 0x0800_0000;
-    let mut cache = DecodeCache::new();
+    let mut cache = BlockCache::new();
     run(&mut cpu, &mut mem, &mut cache, base);
 
     assert_eq!(cpu.regs[0], 11, "1 (original) + 10 (patched), not 2");
@@ -74,10 +98,12 @@ fn hot_loop_is_served_from_the_cache() {
     let mut mem = Memory::new();
     mem.write_bytes(base, &code.bytes);
     let mut cpu = Cpu::new();
-    let mut cache = DecodeCache::new();
+    let mut cache = BlockCache::new();
     run(&mut cpu, &mut mem, &mut cache, base);
     assert_eq!(cpu.regs[0], 50);
-    assert!(cache.hits >= 49 * 3, "loop body decoded once, replayed 49 times");
+    // Pass 1 runs in the entry block, pass 2 compiles the loop body,
+    // passes 3..=50 replay it.
+    assert_eq!(cache.hits, 48, "loop body compiled once, then replayed");
     assert_eq!(cache.invalidations, 0, "no writes, no invalidations");
 }
 
@@ -92,7 +118,7 @@ fn host_write_between_runs_invalidates() {
     let mut mem = Memory::new();
     mem.write_bytes(base, &code.bytes);
     let mut cpu = Cpu::new();
-    let mut cache = DecodeCache::new();
+    let mut cache = BlockCache::new();
     run(&mut cpu, &mut mem, &mut cache, base);
     assert_eq!(cpu.regs[0], 1);
 
@@ -105,22 +131,4 @@ fn host_write_between_runs_invalidates() {
     run(&mut cpu, &mut mem, &mut cache, base);
     assert_eq!(cpu.regs[0], 2, "new bytes decoded after the host write");
     assert!(cache.invalidations > 0);
-}
-
-#[test]
-fn disabled_cache_still_executes_correctly() {
-    let base = 0x0003_0000;
-    let mut asm = Assembler::new(base);
-    asm.mov_imm(Reg::R0, 7).unwrap();
-    asm.add_imm(Reg::R0, Reg::R0, 35).unwrap();
-    asm.bx(Reg::LR);
-    let code = asm.assemble().unwrap();
-    let mut mem = Memory::new();
-    mem.write_bytes(base, &code.bytes);
-    let mut cpu = Cpu::new();
-    let mut cache = DecodeCache::new();
-    cache.enabled = false;
-    run(&mut cpu, &mut mem, &mut cache, base);
-    assert_eq!(cpu.regs[0], 42);
-    assert_eq!((cache.hits, cache.misses), (0, 0), "cache fully bypassed");
 }

@@ -7,12 +7,12 @@
 //!   vs. unconditional deep hooking.
 //! * **D2 — libc modeling vs. tracing**: a modeled `memcpy` host call
 //!   vs. an instruction-traced ARM `memcpy` loop.
-//! * **D5 — hot-handler cache**: the instruction tracer with and
-//!   without the cache.
+//! * **D5 — hot-instruction cache**: the traced loop under superblock
+//!   dispatch (the §V-C cache) vs. the uncached per-instruction stepper.
 
 use ndroid_arm::reg::RegList;
 use ndroid_arm::{Assembler, Cond, Reg};
-use ndroid_core::NDroidAnalysis;
+use ndroid_core::{NDroidAnalysis, NativeEngine};
 use ndroid_dvm::framework::install_framework;
 use ndroid_dvm::{Program, Taint};
 use ndroid_emu::layout::NATIVE_CODE_BASE;
@@ -35,12 +35,12 @@ fn modeled_memcpy_app() -> ndroid_core::NDroidSystem {
     asm.ldr_const(Reg::R2, LEN);
     asm.call_abs(libc_addr("memcpy"));
     asm.pop(RegList::of(&[Reg::PC]));
-    build_sys(asm)
+    build_sys(asm, NativeEngine::Blocks)
 }
 
 /// D2 ablation: a real ARM byte-copy loop traced instruction by
 /// instruction (what NDroid would pay without the Table VI models).
-fn traced_memcpy_app() -> ndroid_core::NDroidSystem {
+fn traced_memcpy_app(engine: NativeEngine) -> ndroid_core::NDroidSystem {
     let mut asm = Assembler::new(NATIVE_CODE_BASE);
     asm.ldr_const(Reg::R0, DST);
     asm.ldr_const(Reg::R1, SRC);
@@ -53,15 +53,17 @@ fn traced_memcpy_app() -> ndroid_core::NDroidSystem {
     asm.subs_imm(Reg::R2, Reg::R2, 1).unwrap();
     asm.b_cond(Cond::Ne, top);
     asm.bx(Reg::LR);
-    build_sys(asm)
+    build_sys(asm, engine)
 }
 
-fn build_sys(asm: Assembler) -> ndroid_core::NDroidSystem {
+fn build_sys(asm: Assembler, engine: NativeEngine) -> ndroid_core::NDroidSystem {
     let mut program = Program::new();
     install_framework(&mut program);
     let mut sys = ndroid_core::NDroidSystem::from_config(
         program,
-        ndroid_core::SystemConfig::ndroid().quiet(true),
+        ndroid_core::SystemConfig::ndroid()
+            .quiet(true)
+            .engine(engine),
     );
     let code = asm.assemble().unwrap();
     sys.load_native(&code, "libablate.so");
@@ -74,7 +76,7 @@ fn ablate_libc_model(suite: &mut Suite) {
     suite.bench("ablate_libc_model/modeled_memcpy_hostcall", || {
         sys.run_native(NATIVE_CODE_BASE, &[]).unwrap();
     });
-    let mut sys = traced_memcpy_app();
+    let mut sys = traced_memcpy_app(NativeEngine::Blocks);
     suite.bench("ablate_libc_model/traced_memcpy_arm_loop", || {
         sys.run_native(NATIVE_CODE_BASE, &[]).unwrap();
     });
@@ -118,11 +120,11 @@ fn ablate_multilevel(suite: &mut Suite) {
 }
 
 fn ablate_decode_cache(suite: &mut Suite) {
-    for (name, use_cache) in [("with_cache", true), ("without_cache", false)] {
-        let mut sys = traced_memcpy_app();
-        if let Some(a) = sys.ndroid_analysis_mut() {
-            a.use_cache = use_cache;
-        }
+    for (name, engine) in [
+        ("with_cache", NativeEngine::Blocks),
+        ("without_cache", NativeEngine::Stepper),
+    ] {
+        let mut sys = traced_memcpy_app(engine);
         suite.bench(&format!("ablate_decode_cache/{name}"), || {
             sys.run_native(NATIVE_CODE_BASE, &[]).unwrap();
         });

@@ -1,16 +1,15 @@
 //! Superblock (block-level taint compilation) benchmarks: the rate at
 //! which straight-line runs compile into effect programs, the fused
-//! block dispatch vs the per-instruction `step_cached` + `on_insn`
-//! tracer on a hot loop, and the end-to-end cfbench A/B behind the
-//! `SystemConfig::blocks` knob. Writes `BENCH_blocks.json`;
+//! block dispatch vs the uncached per-instruction `step` + `on_insn`
+//! tracer on a hot loop, and the end-to-end cfbench A/B between the
+//! `Blocks` and `Stepper` native engines. Writes `BENCH_blocks.json`;
 //! `TESTKIT_BENCH_SMOKE=1` runs a minimal pass for CI.
 
 use ndroid_arm::block::{build_block, BlockCache};
-use ndroid_arm::exec::step_cached;
-use ndroid_arm::icache::DecodeCache;
+use ndroid_arm::exec::step;
 use ndroid_arm::{Assembler, Cond, Cpu, Memory, Reg};
 use ndroid_cfbench::all_kernels;
-use ndroid_core::{Mode, NDroidAnalysis, SystemConfig};
+use ndroid_core::{Mode, NDroidAnalysis, NativeEngine, SystemConfig};
 use ndroid_emu::runtime::Analysis;
 use ndroid_emu::shadow::ShadowState;
 use ndroid_testkit::bench::{black_box, Suite};
@@ -19,8 +18,8 @@ const SENTINEL: u32 = 0xFFFF_FF00;
 /// Kernel iterations for the end-to-end cfbench A/B.
 const KERNEL_ITERS: u32 = 500;
 
-/// A 64-iteration counted loop (the same shape the decode-cache bench
-/// uses, so the suites compare like with like).
+/// A 64-iteration counted loop (the same shape as the raw `step` bench
+/// in `BENCH_taint.json`, so the suites compare like with like).
 fn hot_loop(mem: &mut Memory, base: u32) {
     let mut asm = Assembler::new(base);
     asm.mov_imm(Reg::R4, 64).unwrap();
@@ -56,8 +55,8 @@ fn build_benches(suite: &mut Suite) {
 }
 
 /// The tentpole A/B at the dispatch level: one hot loop traced by the
-/// full NDroid analysis, once through `step_cached` + `on_insn` (the
-/// stepper) and once through cached effect programs (`on_block`).
+/// full NDroid analysis, once through `step` + `on_insn` (the stepper)
+/// and once through cached effect programs (`on_block`).
 fn exec_benches(suite: &mut Suite) {
     let base = 0x0001_0000;
     let mut mem = Memory::new();
@@ -66,12 +65,11 @@ fn exec_benches(suite: &mut Suite) {
     let mut cpu = Cpu::new();
     let mut analysis = NDroidAnalysis::new();
     let mut shadow = ShadowState::new();
-    let mut icache = DecodeCache::new();
     suite.bench("exec/hot_loop/stepper_traced", || {
         cpu.regs[14] = SENTINEL;
         cpu.set_pc(base);
         while cpu.pc() != SENTINEL {
-            let effect = step_cached(&mut cpu, &mut mem, &mut icache).expect("step");
+            let effect = step(&mut cpu, &mut mem).expect("step");
             analysis.on_insn(&mut shadow, &cpu, &mem, &effect);
         }
         black_box(cpu.regs[0]);
@@ -104,8 +102,8 @@ fn exec_benches(suite: &mut Suite) {
     });
 }
 
-/// End-to-end cfbench kernels with superblock dispatch toggled via the
-/// `SystemConfig::blocks` knob — the headline multiple lives here.
+/// End-to-end cfbench kernels on the `Stepper` vs `Blocks` native
+/// engines — the headline multiple lives here.
 fn cfbench_ab_benches(suite: &mut Suite) {
     let kernels = all_kernels();
     for name in ["Native MIPS", "Native Memory Read"] {
@@ -113,9 +111,12 @@ fn cfbench_ab_benches(suite: &mut Suite) {
             .iter()
             .find(|k| k.name == name)
             .expect("known kernel");
-        for (variant, enabled) in [("blocks_off", false), ("blocks_on", true)] {
+        for (variant, engine) in [
+            ("blocks_off", NativeEngine::Stepper),
+            ("blocks_on", NativeEngine::Blocks),
+        ] {
             let mut sys =
-                kernel.boot_with(SystemConfig::new(Mode::NDroid).quiet(true).blocks(enabled));
+                kernel.boot_with(SystemConfig::new(Mode::NDroid).quiet(true).engine(engine));
             suite.bench(&format!("cfbench/{name}/{variant}"), || {
                 black_box(kernel.run(&mut sys, KERNEL_ITERS));
             });

@@ -1,10 +1,10 @@
 //! Differential-oracle cost benchmarks: what does soundness checking
-//! cost? Measures (a) raw per-effect propagation — the optimized
+//! cost? Measures (a) raw per-effect propagation — the lowered
 //! `propagate` into the paged map vs the reference `ref_propagate`
 //! into the sparse map — on a recorded effect stream, (b) a full
-//! dual-run `check_oracle` on a representative generated program, and
-//! (c) a gallery app end-to-end under the optimized engine vs the
-//! reference engine (`SystemConfig::reference()`). Writes
+//! three-engine `check_oracle` on a representative generated program,
+//! and (c) a gallery app end-to-end under each native engine
+//! (`Blocks`, `Stepper`, `Reference`). Writes
 //! `BENCH_oracle.json`; `TESTKIT_BENCH_SMOKE=1` runs a minimal pass
 //! for CI.
 
@@ -17,7 +17,7 @@ use ndroid_arm::{Cpu, Memory};
 use ndroid_apps::{qq_phonebook, App};
 use ndroid_core::oracle::{check_oracle, ref_propagate, OracleProgram};
 use ndroid_core::tracer::propagate;
-use ndroid_core::{EngineKind, SystemConfig};
+use ndroid_core::{NativeEngine, SystemConfig};
 use ndroid_dvm::Taint;
 use ndroid_emu::layout::{NATIVE_CODE_BASE, NATIVE_HEAP_BASE, RETURN_SENTINEL};
 use ndroid_emu::shadow::{RefShadowState, ShadowState};
@@ -146,9 +146,9 @@ fn dual_run_bench(suite: &mut Suite) {
     });
 }
 
-/// End-to-end gallery app: optimized engine vs reference engine.
+/// End-to-end gallery app under each native engine.
 fn gallery_ab_benches(suite: &mut Suite) {
-    for engine in [EngineKind::Optimized, EngineKind::Reference] {
+    for engine in [NativeEngine::Blocks, NativeEngine::Stepper, NativeEngine::Reference] {
         suite.bench(&format!("gallery/qq_phonebook/{engine}"), || {
             let app: App = qq_phonebook::qq_phonebook();
             let sys = app

@@ -1,16 +1,13 @@
-//! Shadow-taint-memory and decode-cache benchmarks. Each range op is
+//! Shadow-taint-memory and raw-interpreter benchmarks. Each range op is
 //! measured on both the paged [`TaintMap`] and the pre-paging sparse
-//! [`HashTaintMap`] reference so the speedup is a recorded artifact;
-//! the decode cache is A/B'd both as a raw `step` vs `step_cached`
-//! microbench and end-to-end on cfbench kernels via the
-//! `NDroidSystem::icache.enabled` knob. Writes `BENCH_taint.json`;
-//! `TESTKIT_BENCH_SMOKE=1` runs a minimal pass for CI.
+//! [`HashTaintMap`] reference so the speedup is a recorded artifact,
+//! next to the uncached fetch/decode/execute rate of a hot loop (the
+//! code-cache A/B lives in `BENCH_blocks.json`). Writes
+//! `BENCH_taint.json`; `TESTKIT_BENCH_SMOKE=1` runs a minimal pass for
+//! CI.
 
-use ndroid_arm::exec::{step, step_cached};
-use ndroid_arm::icache::DecodeCache;
+use ndroid_arm::exec::step;
 use ndroid_arm::{Assembler, Cond, Cpu, Memory, Reg};
-use ndroid_cfbench::all_kernels;
-use ndroid_core::Mode;
 use ndroid_dvm::Taint;
 use ndroid_emu::shadow::{HashTaintMap, TaintMap};
 use ndroid_testkit::bench::{black_box, Suite};
@@ -20,8 +17,6 @@ use ndroid_testkit::bench::{black_box, Suite};
 const BASE: u32 = 0x4000_0029;
 /// Working-set size for the range workloads.
 const RANGE: u32 = 64 * 1024;
-/// Kernel iterations for the end-to-end cfbench A/B.
-const KERNEL_ITERS: u32 = 500;
 
 /// Benchmarks one taint-map implementation. A macro rather than a
 /// trait: `HashTaintMap` is scheduled for removal once the paged map
@@ -77,9 +72,8 @@ fn taint_map_benches(suite: &mut Suite) {
     range_benches!(suite, "hashmap", HashTaintMap);
 }
 
-/// Raw fetch/decode/execute loop: `step` re-decodes every instruction,
-/// `step_cached` replays decodes from the [`DecodeCache`].
-fn decode_cache_benches(suite: &mut Suite) {
+/// Raw fetch/decode/execute loop: `step` decodes every instruction.
+fn step_benches(suite: &mut Suite) {
     const SENTINEL: u32 = 0xFFFF_FF00;
     let base = 0x0001_0000;
     let mut asm = Assembler::new(base);
@@ -105,46 +99,11 @@ fn decode_cache_benches(suite: &mut Suite) {
         }
         black_box(cpu.regs[0]);
     });
-
-    let mut cpu = Cpu::new();
-    let mut cache = DecodeCache::new();
-    suite.bench("exec/hot_loop/step_cached", || {
-        cpu.regs[14] = SENTINEL;
-        cpu.set_pc(base);
-        while cpu.pc() != SENTINEL {
-            step_cached(&mut cpu, &mut mem, &mut cache).expect("step");
-        }
-        black_box(cpu.regs[0]);
-    });
-}
-
-/// End-to-end steps/sec on cfbench kernels with the session decode
-/// cache toggled off/on.
-fn cfbench_ab_benches(suite: &mut Suite) {
-    let kernels = all_kernels();
-    for name in ["Native MIPS", "Native Memory Read"] {
-        let kernel = kernels
-            .iter()
-            .find(|k| k.name == name)
-            .expect("known kernel");
-        for (variant, enabled) in [("icache_off", false), ("icache_on", true)] {
-            let mut sys = kernel.boot(Mode::NDroid);
-            sys.icache.enabled = enabled;
-            // Superblock dispatch would bypass the decode cache
-            // entirely; keep it off so this A/B measures the stepper's
-            // cache (the block-path A/B lives in BENCH_blocks.json).
-            sys.blocks.enabled = false;
-            suite.bench(&format!("cfbench/{name}/{variant}"), || {
-                black_box(kernel.run(&mut sys, KERNEL_ITERS));
-            });
-        }
-    }
 }
 
 fn main() {
     let mut suite = Suite::new("taint");
     taint_map_benches(&mut suite);
-    decode_cache_benches(&mut suite);
-    cfbench_ab_benches(&mut suite);
+    step_benches(&mut suite);
     suite.finish();
 }

@@ -8,14 +8,15 @@
 //! golden below and the aggregate score must be perfect (recall 1.0 on
 //! taint-preserving cases, precision 1.0 on taint-killing and benign
 //! cases) — either divergence exits 1. Pass `--bless` to rewrite the
-//! golden after an intentional corpus change, and `--no-blocks` to run
-//! the whole gate with superblock dispatch disabled (the stepper
-//! tracer must reproduce the identical matrix and transcript).
+//! golden after an intentional corpus change, and `--engine stepper`
+//! (or `reference`) to run the whole gate on another native engine
+//! than the default `blocks` (every engine must reproduce the identical
+//! matrix and transcript).
 
 use ndroid_apps::adversarial::{corpus, expected_leak};
 use ndroid_apps::farm::Adversarial;
 use ndroid_core::batch::{run_batch, BatchConfig, JobSource};
-use ndroid_core::{score_batch, ProvenanceLevel, SystemConfig};
+use ndroid_core::{score_batch, NativeEngine, ProvenanceLevel, SystemConfig};
 use ndroid_dvm::Taint;
 
 const GOLDEN: &str = include_str!("exp_adversarial_golden.txt");
@@ -30,13 +31,13 @@ const GOLDEN_PATH: &str = concat!(
 /// One case's leak-path transcript at `Level::Full`: every
 /// reconstructed source→sink path for leaking cases, a pinned "clean"
 /// line for the rest.
-fn render_case(case: &ndroid_apps::adversarial::AdversarialCase, blocks: bool) -> String {
+fn render_case(case: &ndroid_apps::adversarial::AdversarialCase, engine: NativeEngine) -> String {
     let sys = case
         .build()
         .run_with(
             SystemConfig::ndroid()
                 .quiet(true)
-                .blocks(blocks)
+                .engine(engine)
                 .provenance(ProvenanceLevel::Full),
         )
         .expect("adversarial case runs");
@@ -59,11 +60,25 @@ fn render_case(case: &ndroid_apps::adversarial::AdversarialCase, blocks: bool) -
 }
 
 fn main() {
-    let bless = std::env::args().any(|a| a == "--bless");
-    let blocks = !std::env::args().any(|a| a == "--no-blocks");
+    let args: Vec<String> = std::env::args().collect();
+    let bless = args.iter().any(|a| a == "--bless");
+    let engine = match args
+        .iter()
+        .position(|a| a == "--engine")
+        .map(|i| args.get(i + 1))
+    {
+        None => NativeEngine::Blocks,
+        Some(Some(name)) if name == "blocks" => NativeEngine::Blocks,
+        Some(Some(name)) if name == "stepper" => NativeEngine::Stepper,
+        Some(Some(name)) if name == "reference" => NativeEngine::Reference,
+        Some(other) => {
+            eprintln!("--engine takes blocks, stepper or reference (got {other:?})");
+            std::process::exit(2);
+        }
+    };
 
     let batch = run_batch(
-        Adversarial.jobs(&SystemConfig::ndroid().quiet(true).blocks(blocks)),
+        Adversarial.jobs(&SystemConfig::ndroid().quiet(true).engine(engine)),
         BatchConfig::new(4),
     );
     let score = score_batch(&batch, expected_leak);
@@ -71,7 +86,7 @@ fn main() {
     let mut actual = score.render();
     actual.push('\n');
     for case in corpus() {
-        actual.push_str(&render_case(&case, blocks));
+        actual.push_str(&render_case(&case, engine));
     }
     print!("{actual}");
 

@@ -26,7 +26,7 @@ fn show(figure: &str, app: ndroid_apps::App) {
         println!("  -> LEAK: {}", describe_leak(leak));
         println!("     data: {}", leak.data);
     }
-    if let Some(stats) = sys.ndroid_stats() {
+    if let Some(stats) = sys.report().stats {
         println!(
             "     stats: {} insns traced, {} jni entries, {} source policies, {} chains",
             stats.insns_traced, stats.jni_entries, stats.source_policies, stats.chains_activated

@@ -21,7 +21,7 @@ fn main() {
     let sys = ndroid_apps::poc_case3::poc_case3()
         .run(Mode::NDroid)
         .expect("app run");
-    let stats = sys.ndroid_stats().unwrap();
+    let stats = sys.report().stats.unwrap();
     println!("PoC case 3 under NDroid:");
     println!("  branch events processed:      {}", stats.branch_events);
     println!("  chains activated (T1):        {}", stats.chains_activated);

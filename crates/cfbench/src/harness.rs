@@ -134,8 +134,9 @@ pub fn run_suite(modes: &[Mode], iterations: u32, repetitions: u32) -> Fig10Repo
 }
 
 /// [`run_suite`] with a configuration tweak applied to every boot —
-/// the Fig. 10 A/B entry point (e.g. `|c| c.blocks(false)` measures
-/// the per-instruction stepper instead of superblock dispatch).
+/// the Fig. 10 A/B entry point (e.g. `|c| c.engine(NativeEngine::Stepper)`
+/// measures the uncached per-instruction stepper instead of superblock
+/// dispatch).
 pub fn run_suite_with(
     modes: &[Mode],
     iterations: u32,
@@ -171,6 +172,7 @@ pub fn run_suite_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ndroid_core::NativeEngine;
 
     #[test]
     fn small_suite_produces_sane_overheads() {
@@ -190,10 +192,12 @@ mod tests {
         // The architectural claim behind Fig. 10: NDroid traces every
         // *native* instruction but leaves the interpreter alone. The
         // claim originates on the per-instruction stepper, so it is
-        // pinned with superblock dispatch off — with blocks on the
+        // pinned on the `Stepper` engine — with blocks on the
         // native-side tracing cost collapses (see BENCH_blocks.json)
         // and the ordering is no longer architecturally forced.
-        let report = run_suite_with(&[Mode::NDroid], 20_000, 3, |c| c.blocks(false));
+        let report = run_suite_with(&[Mode::NDroid], 20_000, 3, |c| {
+            c.engine(NativeEngine::Stepper)
+        });
         let native = report.native_score(Mode::NDroid);
         let java = report.java_score(Mode::NDroid);
         assert!(

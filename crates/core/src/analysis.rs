@@ -4,8 +4,9 @@
 
 use crate::config::SourcePolicyOverride;
 use crate::source_policy::{SourcePolicy, SourcePolicyMap};
-use crate::tracer::{apply_taint_op, propagate, HandlerCache};
-use ndroid_arm::block::Block;
+use crate::tracer::{apply_taint_op, propagate};
+use ndroid_arm::block::{is_taint_relevant, Block};
+use ndroid_arm::decode::decode_arm;
 use ndroid_arm::exec::{step_decoded, Effect};
 use ndroid_arm::{Cpu, Memory};
 use ndroid_dvm::{Dvm, MethodId, Taint};
@@ -25,7 +26,8 @@ use std::rc::Rc;
 pub struct AnalysisStats {
     /// Guest instructions observed by the tracer.
     pub insns_traced: u64,
-    /// Instructions skipped by the hot-handler cache.
+    /// Instructions classified as carrying no taint work (branches and
+    /// `SVC`), which the tracer therefore skipped.
     pub insns_skipped: u64,
     /// Branch events processed.
     pub branch_events: u64,
@@ -88,9 +90,6 @@ pub(crate) fn protected_region(addr: u32) -> Option<&'static str> {
 #[derive(Clone)]
 pub struct NDroidAnalysis {
     policies: SourcePolicyMap,
-    cache: HandlerCache,
-    /// Whether the hot-handler cache is consulted (ablation D5).
-    pub use_cache: bool,
     /// Whether multilevel gating is applied (ablation D1; when false,
     /// every inner-function entry counts as instrumented).
     pub gate_hooks: bool,
@@ -134,7 +133,6 @@ impl std::fmt::Debug for NDroidAnalysis {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NDroidAnalysis")
             .field("stats", &self.stats)
-            .field("use_cache", &self.use_cache)
             .field("gate_hooks", &self.gate_hooks)
             .finish()
     }
@@ -203,8 +201,6 @@ impl NDroidAnalysis {
         .collect();
         NDroidAnalysis {
             policies: SourcePolicyMap::new(),
-            cache: HandlerCache::new(),
-            use_cache: true,
             gate_hooks: true,
             protect_taints: true,
             policy_override: SourcePolicyOverride::AsPaper,
@@ -217,19 +213,28 @@ impl NDroidAnalysis {
         }
     }
 
-    /// Declares the handler cache's contents valid for the memory
-    /// lineage identified by `epoch` **without clearing them** — used
-    /// only by snapshot forks, which carry the memory image and this
-    /// cache as one unit, so the cached page generations still match
-    /// the forked pages byte-for-byte and the cache stays warm (and
-    /// its hit/miss counters replay-identical to a fresh run).
-    pub fn rebind_cache_epoch(&mut self, epoch: u64) {
-        self.cache.rebind_epoch(epoch);
-    }
-
     /// The source-policy map (for inspection in tests/benches).
     pub fn policies(&self) -> &SourcePolicyMap {
         &self.policies
+    }
+
+    /// §VII extension: records an executed native store into a
+    /// VM-private region (stack manipulation / trusted-function
+    /// modification attacks). Callers pass only executed stores.
+    #[inline]
+    pub(crate) fn check_store(&mut self, effect: &Effect) {
+        if !self.protect_taints {
+            return;
+        }
+        if let Some(addr) = effect.addr {
+            if let Some(region) = protected_region(addr) {
+                self.violations.push(ProtectionViolation {
+                    pc: effect.pc,
+                    addr,
+                    region,
+                });
+            }
+        }
     }
 
     /// Folds one instruction's written-taint union into the current
@@ -274,61 +279,25 @@ impl Analysis for NDroidAnalysis {
         // The paper's tracer pays a real per-instruction decode: "It
         // takes time to decide each instruction because there are 148
         // ARM instructions and 73 Thumb instructions and each
-        // instruction does not have fixed bits to denote the opcode. To
-        // speed up the identification of the instruction type and the
-        // search of the handler, NDroid caches hot instructions and the
-        // corresponding handlers" (§V-C). We reproduce both: the
-        // analysis re-identifies the instruction from raw guest memory
-        // (it does not trust the translation layer), and the hot-handler
-        // cache skips that identification for already-seen PCs.
-        let relevant = match if self.use_cache {
-            self.cache.lookup(mem, effect.pc, cpu.thumb)
+        // instruction does not have fixed bits to denote the opcode"
+        // (§V-C). This uncached path re-identifies the instruction from
+        // raw guest memory every time (it does not trust the
+        // translation layer, and a self-patched instruction is
+        // classified from the bytes now in memory). The paper's
+        // hot-instruction cache is the superblock cache, which reaches
+        // this tracer through `on_block` instead.
+        let relevant = if cpu.thumb {
+            is_taint_relevant(&effect.instr)
         } else {
-            None
-        } {
-            Some(relevant) => relevant,
-            None => {
-                // Independent instruction identification.
-                let relevant = if cpu.thumb {
-                    crate::tracer::HandlerCache::classify(&effect.instr)
-                } else {
-                    let word = mem.read_u32(effect.pc);
-                    match ndroid_arm::decode::decode_arm(word, effect.pc) {
-                        Ok(instr) => crate::tracer::HandlerCache::classify(&instr),
-                        Err(_) => false,
-                    }
-                };
-                if self.use_cache {
-                    self.cache.insert(mem, effect.pc, cpu.thumb, relevant);
-                }
-                relevant
-            }
+            decode_arm(mem.read_u32(effect.pc), effect.pc).is_ok_and(|i| is_taint_relevant(&i))
         };
         if !relevant {
             self.stats.insns_skipped += 1;
             return;
         }
         self.stats.insns_traced += 1;
-        // §VII extension: flag native stores into VM-private regions
-        // (stack manipulation / trusted-function modification attacks).
-        if self.protect_taints && effect.executed {
-            let is_store = matches!(
-                effect.instr,
-                ndroid_arm::insn::Instr::Mem { load: false, .. }
-                    | ndroid_arm::insn::Instr::MemMulti { load: false, .. }
-                    | ndroid_arm::insn::Instr::VfpMem { load: false, .. }
-            );
-            if is_store {
-                if let Some(addr) = effect.addr {
-                    if let Some(region) = protected_region(addr) {
-                        self.violations.push(ProtectionViolation {
-                            pc: effect.pc,
-                            addr,
-                            region,
-                        });
-                    }
-                }
-            }
+        if effect.executed && effect.instr.is_store() {
+            self.check_store(effect);
         }
         let written = propagate(shadow, effect);
         self.note_written(&shadow.prov, effect.pc, written);
@@ -369,21 +338,13 @@ impl Analysis for NDroidAnalysis {
             }
             // Fused fast path: classification and taint semantics were
             // pre-compiled into the block's effect program, so neither
-            // the per-PC handler cache nor the Table V dispatch runs.
+            // re-identification nor lowering runs per instruction.
             if !step.relevant {
                 self.stats.insns_skipped += 1;
             } else {
                 self.stats.insns_traced += 1;
-                if self.protect_taints && effect.executed && step.is_store {
-                    if let Some(addr) = effect.addr {
-                        if let Some(region) = protected_region(addr) {
-                            self.violations.push(ProtectionViolation {
-                                pc: effect.pc,
-                                addr,
-                                region,
-                            });
-                        }
-                    }
+                if effect.executed && step.is_store {
+                    self.check_store(&effect);
                 }
                 if effect.executed {
                     let written = apply_taint_op(shadow, &step.taint, &effect);
@@ -572,7 +533,7 @@ mod tests {
     }
 
     #[test]
-    fn tracer_skips_branches_and_caches_classification() {
+    fn tracer_skips_branches_and_reidentifies_from_memory() {
         use ndroid_arm::cond::Cond;
         use ndroid_arm::encode::encode;
         use ndroid_arm::insn::{DpOp, Instr, Op2};
@@ -605,19 +566,17 @@ mod tests {
             addr: None,
             svc: None,
         };
-        // Branch: identified once, then served from the hot cache.
         a.on_insn(&mut sh, &cpu, &mem, &eff(branch, 0x1000_0000));
-        a.on_insn(&mut sh, &cpu, &mem, &eff(branch, 0x1000_0000));
-        assert_eq!(a.stats.insns_skipped, 2, "branches never propagate");
-        assert_eq!(a.cache.hits, 1);
-        assert_eq!(a.cache.misses, 1);
+        assert_eq!(a.stats.insns_skipped, 1, "branches never propagate");
         // ADD: identified, classified relevant, propagated.
+        sh.regs[2] = Taint::SMS;
         a.on_insn(&mut sh, &cpu, &mem, &eff(add, 0x1000_0004));
         assert_eq!(a.stats.insns_traced, 1);
-        // With the cache disabled every instruction re-identifies.
-        a.use_cache = false;
+        assert_eq!(sh.regs[0], Taint::SMS);
+        // Classification follows the bytes in guest memory: once the
+        // ADD is patched into a branch, the same pc is skipped.
+        mem.write_u32(0x1000_0004, encode(&branch).unwrap());
         a.on_insn(&mut sh, &cpu, &mem, &eff(add, 0x1000_0004));
-        assert_eq!(a.stats.insns_traced, 2);
-        assert_eq!(a.cache.hits, 1, "cache untouched when disabled");
+        assert_eq!((a.stats.insns_traced, a.stats.insns_skipped), (1, 2));
     }
 }

@@ -22,7 +22,7 @@ impl Analysis for TaintDroidAnalysis {}
 
 /// A DroidScope-like configuration: instruction-level taint tracking
 /// over *all* native instructions (like NDroid's tracer) but with no
-/// JNI semantic shortcuts — no hot-handler cache, no multilevel gating
+/// JNI semantic shortcuts — no hot-instruction cache, no multilevel gating
 /// — and, crucially, the DVM interpreter itself is also analyzed
 /// instruction-by-instruction. The interpreter-side cost is modeled by
 /// [`ndroid_dvm::Dvm::per_insn_tax`] (set by

@@ -620,13 +620,13 @@ pub fn run_batch(jobs: Vec<AnalysisJob>, config: BatchConfig) -> BatchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EngineKind;
+    use crate::config::NativeEngine;
     use crate::system::Mode;
 
     fn fake_report(insns: u64) -> RunReport {
         RunReport {
             mode: Mode::NDroid,
-            engine: EngineKind::Optimized,
+            engine: NativeEngine::Blocks,
             sink_events: Vec::new(),
             network_log: Vec::new(),
             violations: Vec::new(),

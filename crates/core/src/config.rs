@@ -12,25 +12,31 @@
 use crate::system::Mode;
 use ndroid_provenance::Level;
 
-/// Which taint-propagation engine drives the native tracer.
+/// How native code is executed and traced — the one fast-path knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EngineKind {
-    /// The optimized NDroid tracer: hot-handler cache plus the
-    /// decoded-instruction cache (the production path).
+pub enum NativeEngine {
+    /// Superblock dispatch: straight-line runs are decoded and lowered
+    /// to Table V effect programs once, cached per code page, and
+    /// replayed as one dispatch per block (the production path, and
+    /// the paper's §V-C hot-instruction cache).
     #[default]
-    Optimized,
-    /// The differential oracle's reference engine: straight-line
-    /// `ref_propagate` over every effect, no caches (see
-    /// [`crate::oracle`]). Selecting it disables the decoded-
-    /// instruction cache so the run uses no fast path at all.
+    Blocks,
+    /// The uncached per-instruction stepper: every instruction is
+    /// fetched, decoded, executed, re-identified from guest memory by
+    /// the tracer and lowered afresh.
+    Stepper,
+    /// The differential oracle's reference engine: the stepper with
+    /// the independent `ref_propagate` in place of the Table V lowering
+    /// (see [`crate::oracle`]). NDroid mode only; other modes step.
     Reference,
 }
 
-impl std::fmt::Display for EngineKind {
+impl std::fmt::Display for NativeEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
-            EngineKind::Optimized => "optimized",
-            EngineKind::Reference => "reference",
+            NativeEngine::Blocks => "blocks",
+            NativeEngine::Stepper => "stepper",
+            NativeEngine::Reference => "reference",
         };
         write!(f, "{s}")
     }
@@ -54,36 +60,32 @@ pub enum SourcePolicyOverride {
     Never,
 }
 
-/// A complete description of one analyzed-system boot: mode, engine,
-/// verbosity, caches, budget and policy overrides. Build one with the
+/// A complete description of one analyzed-system boot: mode, native
+/// engine, verbosity, budget and policy overrides. Build one with the
 /// fluent methods and hand it to [`crate::NDroidSystem::from_config`]:
 ///
-/// ```ignore
+/// ```
+/// use ndroid_core::{Mode, NDroidSystem, NativeEngine, SystemConfig};
+/// use ndroid_dvm::Program;
+///
 /// let sys = NDroidSystem::from_config(
-///     program,
-///     SystemConfig::new(Mode::NDroid).quiet(true).icache(false),
+///     Program::new(),
+///     SystemConfig::new(Mode::NDroid)
+///         .quiet(true)
+///         .engine(NativeEngine::Stepper),
 /// );
+/// assert_eq!(sys.report().engine, NativeEngine::Stepper);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemConfig {
     /// Which analysis configuration runs the app.
     pub mode: Mode,
-    /// Which native-tracer engine propagates taint (NDroid mode only).
-    pub engine: EngineKind,
+    /// How native code is executed and traced.
+    pub engine: NativeEngine,
     /// Verbosity: `true` disables trace recording (benchmarks/farms).
     pub quiet: bool,
-    /// Whether the decoded-instruction cache is enabled. Forced off
-    /// when `engine` is [`EngineKind::Reference`].
-    pub icache: bool,
-    /// Whether superblock dispatch is enabled: straight-line runs are
-    /// compiled once into cached effect programs and replayed as a
-    /// single dispatch per block. Forced off when `engine` is
-    /// [`EngineKind::Reference`].
-    pub blocks: bool,
     /// Guest instruction budget for the whole session.
     pub budget: u64,
-    /// Whether the §V-C hot-handler cache is consulted (ablation D5).
-    pub handler_cache: bool,
     /// Whether multilevel hook gating is applied (ablation D1).
     pub gate_hooks: bool,
     /// Whether the §VII taint-protection extension records violations.
@@ -106,18 +108,15 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
-    /// The default configuration for `mode`: optimized engine, trace
-    /// recording on, both caches on, the stock budget, and the paper's
-    /// source-policy rule.
+    /// The default configuration for `mode`: superblock engine, trace
+    /// recording on, the stock budget, and the paper's source-policy
+    /// rule.
     pub fn new(mode: Mode) -> SystemConfig {
         SystemConfig {
             mode,
-            engine: EngineKind::Optimized,
+            engine: NativeEngine::Blocks,
             quiet: false,
-            icache: true,
-            blocks: true,
             budget: 200_000_000,
-            handler_cache: true,
             gate_hooks: true,
             protect_taints: true,
             source_policies: SourcePolicyOverride::AsPaper,
@@ -139,17 +138,17 @@ impl SystemConfig {
         self
     }
 
-    /// Selects the tracer engine.
+    /// Selects the native engine.
     #[must_use]
-    pub fn engine(mut self, engine: EngineKind) -> SystemConfig {
+    pub fn engine(mut self, engine: NativeEngine) -> SystemConfig {
         self.engine = engine;
         self
     }
 
-    /// Shorthand for `engine(EngineKind::Reference)`.
+    /// Shorthand for `engine(NativeEngine::Reference)`.
     #[must_use]
     pub fn reference(self) -> SystemConfig {
-        self.engine(EngineKind::Reference)
+        self.engine(NativeEngine::Reference)
     }
 
     /// Disables (`true`) or enables (`false`) trace recording.
@@ -159,31 +158,10 @@ impl SystemConfig {
         self
     }
 
-    /// Turns the decoded-instruction cache on or off.
-    #[must_use]
-    pub fn icache(mut self, enabled: bool) -> SystemConfig {
-        self.icache = enabled;
-        self
-    }
-
-    /// Turns superblock dispatch (cached effect programs) on or off.
-    #[must_use]
-    pub fn blocks(mut self, enabled: bool) -> SystemConfig {
-        self.blocks = enabled;
-        self
-    }
-
     /// Sets the guest instruction budget.
     #[must_use]
     pub fn budget(mut self, budget: u64) -> SystemConfig {
         self.budget = budget;
-        self
-    }
-
-    /// Turns the hot-handler cache on or off (ablation D5).
-    #[must_use]
-    pub fn handler_cache(mut self, enabled: bool) -> SystemConfig {
-        self.handler_cache = enabled;
         self
     }
 
@@ -247,12 +225,9 @@ mod tests {
     fn defaults_mirror_the_legacy_constructor() {
         let c = SystemConfig::new(Mode::TaintDroid);
         assert_eq!(c.mode, Mode::TaintDroid);
-        assert_eq!(c.engine, EngineKind::Optimized);
+        assert_eq!(c.engine, NativeEngine::Blocks);
         assert!(!c.quiet);
-        assert!(c.icache);
-        assert!(c.blocks);
         assert_eq!(c.budget, 200_000_000);
-        assert!(c.handler_cache);
         assert!(c.gate_hooks);
         assert!(c.protect_taints);
         assert_eq!(c.source_policies, SourcePolicyOverride::AsPaper);
@@ -266,10 +241,7 @@ mod tests {
         let c = SystemConfig::ndroid()
             .reference()
             .quiet(true)
-            .icache(false)
-            .blocks(false)
             .budget(1_000)
-            .handler_cache(false)
             .gate_hooks(false)
             .protect_taints(false)
             .source_policies(SourcePolicyOverride::Never)
@@ -277,8 +249,8 @@ mod tests {
             .provenance_store(true)
             .provenance_capacity(64);
         assert_eq!(c.mode, Mode::NDroid);
-        assert_eq!(c.engine, EngineKind::Reference);
-        assert!(c.quiet && !c.icache && !c.blocks && !c.handler_cache);
+        assert_eq!(c.engine, NativeEngine::Reference);
+        assert!(c.quiet);
         assert_eq!(c.budget, 1_000);
         assert!(!c.gate_hooks && !c.protect_taints);
         assert_eq!(c.source_policies, SourcePolicyOverride::Never);
@@ -288,8 +260,9 @@ mod tests {
     }
 
     #[test]
-    fn engine_kind_displays() {
-        assert_eq!(EngineKind::Optimized.to_string(), "optimized");
-        assert_eq!(EngineKind::Reference.to_string(), "reference");
+    fn native_engine_displays() {
+        assert_eq!(NativeEngine::Blocks.to_string(), "blocks");
+        assert_eq!(NativeEngine::Stepper.to_string(), "stepper");
+        assert_eq!(NativeEngine::Reference.to_string(), "reference");
     }
 }

@@ -1,19 +1,21 @@
 //! The differential taint oracle: a deliberately simple reference
 //! taint engine cross-validated against the optimized pipeline.
 //!
-//! The optimized tracer ([`crate::tracer::propagate`] behind
-//! [`NDroidAnalysis`], the [`crate::tracer::HandlerCache`], the
-//! decoded-instruction cache, the paged [`TaintMap`]) earns its speed
-//! with exactly the kind of machinery — caches, invalidation
-//! protocols, fast paths — where soundness bugs hide. This module
-//! holds the antidote: [`ref_propagate`] is a straight-line
-//! interpretation of Table V with no caches and no state beyond the
-//! taints themselves, backed by the sparse [`HashTaintMap`]; the
-//! dual-run harness ([`check_oracle`]) executes the same program under
-//! both engines from identical initial state and diffs the final
-//! register / VFP / memory taint byte-for-byte. A disagreement indicts
-//! the optimized pipeline, because the reference engine is small
-//! enough to audit against the paper's Table V by eye.
+//! The production tracer (the Table V lowering
+//! [`ndroid_arm::block::lower_taint`] applied by
+//! [`crate::tracer::apply_taint_op`] behind [`NDroidAnalysis`], the
+//! superblock cache, the paged [`TaintMap`]) earns its speed with
+//! exactly the kind of machinery — caches, invalidation protocols,
+//! pre-compiled effect programs — where soundness bugs hide. This
+//! module holds the antidote: [`ref_propagate`] is a straight-line
+//! interpretation of Table V with no caches, no lowering and no state
+//! beyond the taints themselves, backed by the sparse [`HashTaintMap`];
+//! the harness ([`check_oracle`]) executes the same program under the
+//! stepper, the superblock engine and the reference engine from
+//! identical initial state and diffs the final register / VFP / memory
+//! taint byte-for-byte. A disagreement indicts the production
+//! pipeline, because the reference engine is small enough to audit
+//! against the paper's Table V by eye.
 //!
 //! Three consumers: the property suite in `tests/oracle_prop.rs`
 //! (random ARM/Thumb programs with writeback addressing, all four
@@ -24,8 +26,7 @@
 
 use crate::analysis::{protected_region, NDroidAnalysis, ProtectionViolation};
 use ndroid_arm::block::{build_block, BlockCache};
-use ndroid_arm::exec::{step, step_cached, Effect};
-use ndroid_arm::icache::DecodeCache;
+use ndroid_arm::exec::{step, Effect};
 use ndroid_arm::insn::{Instr, MemOffset, Op2, VfpOp, VfpPrec};
 use ndroid_arm::mem::Memory;
 use ndroid_arm::reg::Reg;
@@ -94,14 +95,14 @@ fn set_vfp_taint(vfp: &mut [Taint; 32], prec: VfpPrec, f: u8, t: Taint) {
 
 /// Reference Table V interpretation of one [`Effect`].
 ///
-/// Independent of [`crate::tracer::propagate`] by construction: no
-/// classification step, no caches, no re-identification — just the
-/// paper's rows applied to the effect the executor reported. The
-/// pointer rule ("if the tainted input is the address of an untainted
-/// value, the taint will be propagated to it") appears twice: loads
-/// union the address registers' taints into the destination, and
-/// base-register writeback unions the offset register's taint into
-/// the base.
+/// Independent of [`ndroid_arm::block::lower_taint`] by construction:
+/// no classification step, no lowering, no caches, no
+/// re-identification — just the paper's rows applied to the effect the
+/// executor reported. The pointer rule ("if the tainted input is the
+/// address of an untainted value, the taint will be propagated to it")
+/// appears twice: loads union the address registers' taints into the
+/// destination, and base-register writeback unions the offset
+/// register's taint into the base.
 ///
 /// Returns the union of the taints the instruction actually wrote —
 /// the same contract as [`crate::tracer::propagate`], bit for bit, so
@@ -263,19 +264,11 @@ pub struct ReferenceAnalysis {
     inner: NDroidAnalysis,
 }
 
-impl Default for ReferenceAnalysis {
-    fn default() -> ReferenceAnalysis {
-        ReferenceAnalysis::new()
-    }
-}
-
 impl ReferenceAnalysis {
-    /// A fresh reference analysis.
-    pub fn new() -> ReferenceAnalysis {
-        let mut inner = NDroidAnalysis::new();
-        // The handler cache is never consulted on this path; record
-        // that truthfully so stats don't suggest otherwise.
-        inner.use_cache = false;
+    /// The reference engine mounted over `inner`, whose configuration
+    /// (hook gating, taint protection, source-policy rule) applies to
+    /// every non-tracer path.
+    pub fn new(inner: NDroidAnalysis) -> ReferenceAnalysis {
         ReferenceAnalysis { inner }
     }
 
@@ -284,16 +277,9 @@ impl ReferenceAnalysis {
         &self.inner.violations
     }
 
-    /// The delegated optimized analysis (for stats inspection).
+    /// The delegated NDroid analysis (for stats inspection).
     pub fn inner(&self) -> &NDroidAnalysis {
         &self.inner
-    }
-
-    /// Mutable access to the delegated analysis, so
-    /// [`crate::SystemConfig`] knobs (hook gating, taint protection,
-    /// source-policy overrides) apply to reference-engine runs too.
-    pub fn inner_mut(&mut self) -> &mut NDroidAnalysis {
-        &mut self.inner
     }
 }
 
@@ -303,26 +289,10 @@ impl Analysis for ReferenceAnalysis {
     }
 
     fn on_insn(&mut self, shadow: &mut ShadowState, _cpu: &Cpu, _mem: &Memory, effect: &Effect) {
-        // No classification, no cache, no skip: every effect goes
+        // No classification, no lowering, no skip: every effect goes
         // straight to the reference interpreter.
-        if self.inner.protect_taints && effect.executed {
-            let is_store = matches!(
-                effect.instr,
-                Instr::Mem { load: false, .. }
-                    | Instr::MemMulti { load: false, .. }
-                    | Instr::VfpMem { load: false, .. }
-            );
-            if is_store {
-                if let Some(addr) = effect.addr {
-                    if let Some(region) = protected_region(addr) {
-                        self.inner.violations.push(ProtectionViolation {
-                            pc: effect.pc,
-                            addr,
-                            region,
-                        });
-                    }
-                }
-            }
+        if effect.executed && effect.instr.is_store() {
+            self.inner.check_store(effect);
         }
         let written;
         {
@@ -427,10 +397,10 @@ fn seed_cpu_mem(p: &OracleProgram) -> (Cpu, Memory) {
     (cpu, mem)
 }
 
-/// Runs a program under the **optimized** pipeline: `step_cached`
-/// through a fresh [`DecodeCache`] plus [`NDroidAnalysis::on_insn`]
-/// (handler cache on, paged taint map).
-pub fn run_optimized(
+/// Runs a program under the **stepper** pipeline: uncached `step` plus
+/// [`NDroidAnalysis::on_insn`] (re-identification, Table V lowering,
+/// paged taint map).
+pub fn run_stepper(
     p: &OracleProgram,
     analysis: &mut NDroidAnalysis,
     shadow: &mut ShadowState,
@@ -440,7 +410,6 @@ pub fn run_optimized(
     for (addr, len, t) in &p.mem_taints {
         shadow.mem.set_range(*addr, *len, *t);
     }
-    let mut icache = DecodeCache::new();
     let mut steps = 0u64;
     let stop = loop {
         if cpu.pc() == RETURN_SENTINEL {
@@ -449,7 +418,7 @@ pub fn run_optimized(
         if steps == p.max_steps {
             break StopReason::MaxSteps;
         }
-        match step_cached(&mut cpu, &mut mem, &mut icache) {
+        match step(&mut cpu, &mut mem) {
             Ok(effect) => {
                 analysis.on_insn(shadow, &cpu, &mem, &effect);
                 steps += 1;
@@ -466,7 +435,7 @@ pub fn run_optimized(
 }
 
 /// Runs a program under the **superblock** pipeline: the same
-/// [`NDroidAnalysis`] as [`run_optimized`], but dispatched through a
+/// [`NDroidAnalysis`] as [`run_stepper`], but dispatched through a
 /// fresh [`BlockCache`] the way the emulator run loop does it —
 /// straight-line runs compiled once into effect programs and replayed
 /// via [`Analysis::on_block`], with the per-instruction stepper as the
@@ -483,7 +452,6 @@ pub fn run_blocks(
     for (addr, len, t) in &p.mem_taints {
         shadow.mem.set_range(*addr, *len, *t);
     }
-    let mut icache = DecodeCache::new();
     let mut blocks = BlockCache::new();
     let mut budget = p.max_steps;
     let stop = loop {
@@ -510,7 +478,7 @@ pub fn run_blocks(
                     break StopReason::MaxSteps;
                 }
                 budget -= 1;
-                match step_cached(&mut cpu, &mut mem, &mut icache) {
+                match step(&mut cpu, &mut mem) {
                     Ok(effect) => analysis.on_insn(shadow, &cpu, &mem, &effect),
                     Err(_) => break StopReason::Fault,
                 }
@@ -531,9 +499,9 @@ pub fn run_blocks(
     }
 }
 
-/// Runs a program under the **reference** engine: plain `step` (no
-/// decoded-instruction cache) plus [`ref_propagate`] into a
-/// [`RefShadowState`] (sparse map, no handler cache).
+/// Runs a program under the **reference** engine: plain `step` plus
+/// [`ref_propagate`] into a [`RefShadowState`] (sparse map, no
+/// classification).
 pub fn run_reference(p: &OracleProgram, shadow: &mut RefShadowState) -> EngineRun {
     let (mut cpu, mut mem) = seed_cpu_mem(p);
     shadow.regs = p.reg_taints;
@@ -627,7 +595,7 @@ pub struct OracleVerdict {
     pub violations: usize,
 }
 
-/// Runs a program under all three engines — the optimized stepper, the
+/// Runs a program under all three engines — the stepper, the
 /// superblock pipeline, and the reference interpreter — and demands
 /// byte-for-byte equality of the final taint state, the architectural
 /// state, and the recorded protection violations.
@@ -638,8 +606,8 @@ pub struct OracleVerdict {
 /// suite surfaces these through the testkit's seed-replay shrinker).
 pub fn check_oracle(p: &OracleProgram) -> Result<OracleVerdict, String> {
     let mut analysis = NDroidAnalysis::new();
-    let mut opt_shadow = ShadowState::new();
-    let opt_run = run_optimized(p, &mut analysis, &mut opt_shadow);
+    let mut step_shadow = ShadowState::new();
+    let step_run = run_stepper(p, &mut analysis, &mut step_shadow);
 
     let mut blk_analysis = NDroidAnalysis::new();
     let mut blk_shadow = ShadowState::new();
@@ -649,9 +617,9 @@ pub fn check_oracle(p: &OracleProgram) -> Result<OracleVerdict, String> {
     let ref_run = run_reference(p, &mut ref_shadow);
 
     let mut diffs = Vec::new();
-    if opt_run != ref_run {
+    if step_run != ref_run {
         diffs.push(format!(
-            "architectural divergence: optimized {opt_run:?} != reference {ref_run:?}"
+            "architectural divergence: stepper {step_run:?} != reference {ref_run:?}"
         ));
     }
     if blk_run != ref_run {
@@ -659,7 +627,7 @@ pub fn check_oracle(p: &OracleProgram) -> Result<OracleVerdict, String> {
             "architectural divergence: blocks {blk_run:?} != reference {ref_run:?}"
         ));
     }
-    diffs.extend(diff_taint_state(&opt_shadow, &ref_shadow));
+    diffs.extend(diff_taint_state(&step_shadow, &ref_shadow));
     diffs.extend(
         diff_taint_state(&blk_shadow, &ref_shadow)
             .into_iter()
@@ -667,14 +635,14 @@ pub fn check_oracle(p: &OracleProgram) -> Result<OracleVerdict, String> {
     );
     if blk_analysis.violations != analysis.violations {
         diffs.push(format!(
-            "protection violations: blocks {} != optimized {}",
+            "protection violations: blocks {} != stepper {}",
             blk_analysis.violations.len(),
             analysis.violations.len()
         ));
     }
 
     // The reference protector is shared logic, but re-run it anyway:
-    // a HandlerCache skip also swallows violation recording.
+    // a wrong skip classification also swallows violation recording.
     let mut ref_violations = 0usize;
     {
         let (mut cpu, mut mem) = seed_cpu_mem(p);
@@ -684,18 +652,10 @@ pub fn check_oracle(p: &OracleProgram) -> Result<OracleVerdict, String> {
                 break;
             };
             steps += 1;
-            if effect.executed {
-                let is_store = matches!(
-                    effect.instr,
-                    Instr::Mem { load: false, .. }
-                        | Instr::MemMulti { load: false, .. }
-                        | Instr::VfpMem { load: false, .. }
-                );
-                if is_store {
-                    if let Some(addr) = effect.addr {
-                        if protected_region(addr).is_some() {
-                            ref_violations += 1;
-                        }
+            if effect.executed && effect.instr.is_store() {
+                if let Some(addr) = effect.addr {
+                    if protected_region(addr).is_some() {
+                        ref_violations += 1;
                     }
                 }
             }
@@ -703,7 +663,7 @@ pub fn check_oracle(p: &OracleProgram) -> Result<OracleVerdict, String> {
     }
     if analysis.violations.len() != ref_violations {
         diffs.push(format!(
-            "protection violations: optimized {} != reference {}",
+            "protection violations: stepper {} != reference {}",
             analysis.violations.len(),
             ref_violations
         ));
@@ -711,7 +671,7 @@ pub fn check_oracle(p: &OracleProgram) -> Result<OracleVerdict, String> {
 
     if diffs.is_empty() {
         Ok(OracleVerdict {
-            run: opt_run,
+            run: step_run,
             violations: ref_violations,
         })
     } else {

@@ -4,7 +4,7 @@
 //! Fig. 3 of the paper).
 
 use crate::analysis::{AnalysisStats, ProtectionViolation};
-use crate::config::EngineKind;
+use crate::config::NativeEngine;
 use crate::system::Mode;
 use ndroid_dvm::{LeakEvent, SinkContext, Taint};
 use ndroid_provenance::{ProvStore, ProvenanceSummary};
@@ -65,8 +65,8 @@ pub struct JobResult {
 pub struct RunReport {
     /// The analysis mode the system ran under.
     pub mode: Mode,
-    /// Which tracer engine ran (NDroid mode only; `Optimized` otherwise).
-    pub engine: EngineKind,
+    /// The native engine the system was booted with.
+    pub engine: NativeEngine,
     /// Every sink invocation, tainted or not, across both contexts.
     pub sink_events: Vec<LeakEvent>,
     /// The kernel's raw network log: `(destination, payload, taint)`.
@@ -112,9 +112,9 @@ pub struct CaseOutcome {
     pub case: String,
     /// The analysis mode.
     pub mode: Mode,
-    /// The tracer engine that produced the row — reference-engine A/B
-    /// rows are distinct from optimized rows, not overwrites.
-    pub engine: EngineKind,
+    /// The native engine that produced the row — reference-engine A/B
+    /// rows are distinct from superblock-engine rows, not overwrites.
+    pub engine: NativeEngine,
     /// Leaks detected (tainted sink hits).
     pub leaks: Vec<LeakEvent>,
     /// Sink invocations that carried the sensitive data but were seen
@@ -196,22 +196,22 @@ impl DetectionReport {
     }
 
     /// The outcome for (case, mode, engine), if recorded. The engine is
-    /// part of the key: an A/B matrix holding both optimized and
-    /// reference rows for the same case keeps them distinct.
-    pub fn outcome(&self, case: &str, mode: Mode, engine: EngineKind) -> Option<&CaseOutcome> {
+    /// part of the key: an A/B matrix holding both superblock-engine
+    /// and reference rows for the same case keeps them distinct.
+    pub fn outcome(&self, case: &str, mode: Mode, engine: NativeEngine) -> Option<&CaseOutcome> {
         self.outcomes
             .iter()
             .find(|o| o.case == case && o.mode == mode && o.engine == engine)
     }
 
     /// Renders the Table-I-style matrix (rows = cases, columns = modes)
-    /// for the optimized engine's rows.
+    /// for the default (superblock) engine's rows.
     pub fn render(&self, modes: &[Mode]) -> String {
-        self.render_engine(modes, EngineKind::Optimized)
+        self.render_engine(modes, NativeEngine::Blocks)
     }
 
     /// Renders the matrix for one engine's rows.
-    pub fn render_engine(&self, modes: &[Mode], engine: EngineKind) -> String {
+    pub fn render_engine(&self, modes: &[Mode], engine: NativeEngine) -> String {
         let mut cases: Vec<&str> = Vec::new();
         for o in &self.outcomes {
             if !cases.contains(&o.case.as_str()) {
@@ -279,7 +279,7 @@ mod tests {
         let detected = CaseOutcome {
             case: "case2".into(),
             mode: Mode::NDroid,
-            engine: EngineKind::Optimized,
+            engine: NativeEngine::Blocks,
             leaks: vec![leak(Taint::CONTACTS)],
             missed_exfiltrations: 0,
             leak_paths: 0,
@@ -289,7 +289,7 @@ mod tests {
         let missed = CaseOutcome {
             case: "case2".into(),
             mode: Mode::TaintDroid,
-            engine: EngineKind::Optimized,
+            engine: NativeEngine::Blocks,
             leaks: vec![],
             missed_exfiltrations: 1,
             leak_paths: 0,
@@ -298,7 +298,7 @@ mod tests {
         let benign = CaseOutcome {
             case: "benign".into(),
             mode: Mode::NDroid,
-            engine: EngineKind::Optimized,
+            engine: NativeEngine::Blocks,
             leaks: vec![],
             missed_exfiltrations: 0,
             leak_paths: 0,
@@ -312,7 +312,7 @@ mod tests {
         r.push(CaseOutcome {
             case: "case1".into(),
             mode: Mode::TaintDroid,
-            engine: EngineKind::Optimized,
+            engine: NativeEngine::Blocks,
             leaks: vec![leak(Taint::IMEI)],
             missed_exfiltrations: 0,
             leak_paths: 0,
@@ -320,7 +320,7 @@ mod tests {
         r.push(CaseOutcome {
             case: "case1".into(),
             mode: Mode::NDroid,
-            engine: EngineKind::Optimized,
+            engine: NativeEngine::Blocks,
             leaks: vec![leak(Taint::IMEI)],
             missed_exfiltrations: 0,
             leak_paths: 0,
@@ -328,8 +328,8 @@ mod tests {
         let s = r.render(&[Mode::TaintDroid, Mode::NDroid]);
         assert!(s.contains("case1"));
         assert!(s.contains("detected"));
-        assert!(r.outcome("case1", Mode::NDroid, EngineKind::Optimized).is_some());
-        assert!(r.outcome("case9", Mode::NDroid, EngineKind::Optimized).is_none());
+        assert!(r.outcome("case1", Mode::NDroid, NativeEngine::Blocks).is_some());
+        assert!(r.outcome("case9", Mode::NDroid, NativeEngine::Blocks).is_none());
     }
 
     #[test]
@@ -342,7 +342,7 @@ mod tests {
         r.push(CaseOutcome {
             case: "case1".into(),
             mode: Mode::NDroid,
-            engine: EngineKind::Optimized,
+            engine: NativeEngine::Blocks,
             leaks: vec![leak(Taint::IMEI)],
             missed_exfiltrations: 0,
             leak_paths: 0,
@@ -350,18 +350,18 @@ mod tests {
         r.push(CaseOutcome {
             case: "case1".into(),
             mode: Mode::NDroid,
-            engine: EngineKind::Reference,
+            engine: NativeEngine::Reference,
             leaks: vec![],
             missed_exfiltrations: 1,
             leak_paths: 0,
         });
-        let opt = r.outcome("case1", Mode::NDroid, EngineKind::Optimized).unwrap();
-        let refr = r.outcome("case1", Mode::NDroid, EngineKind::Reference).unwrap();
+        let opt = r.outcome("case1", Mode::NDroid, NativeEngine::Blocks).unwrap();
+        let refr = r.outcome("case1", Mode::NDroid, NativeEngine::Reference).unwrap();
         assert!(opt.detected());
         assert!(!refr.detected());
         assert_eq!(r.render(&[Mode::NDroid]).matches("detected").count(), 1);
         assert!(r
-            .render_engine(&[Mode::NDroid], EngineKind::Reference)
+            .render_engine(&[Mode::NDroid], NativeEngine::Reference)
             .contains("MISSED"));
     }
 

@@ -206,7 +206,7 @@ pub fn score_batch(
 mod tests {
     use super::*;
     use crate::batch::JobResult;
-    use crate::config::EngineKind;
+    use crate::config::NativeEngine;
     use crate::report::RunReport;
     use crate::system::Mode;
     use ndroid_dvm::interp::{LeakEvent, SinkContext};
@@ -226,7 +226,7 @@ mod tests {
         };
         RunReport {
             mode: Mode::NDroid,
-            engine: EngineKind::Optimized,
+            engine: NativeEngine::Blocks,
             sink_events,
             network_log: Vec::new(),
             violations: Vec::new(),

@@ -562,14 +562,14 @@ impl Iterator for Results<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EngineKind;
+    use crate::config::NativeEngine;
     use crate::system::Mode;
     use crate::RunReport;
 
     fn fake_report(insns: u64) -> RunReport {
         RunReport {
             mode: Mode::NDroid,
-            engine: EngineKind::Optimized,
+            engine: NativeEngine::Blocks,
             sink_events: Vec::new(),
             network_log: Vec::new(),
             violations: Vec::new(),

@@ -4,9 +4,9 @@
 //! information flow in the Java context. NDroid handles the
 //! information flows through JNI." (§VI)
 
-use crate::analysis::{AnalysisStats, NDroidAnalysis};
+use crate::analysis::NDroidAnalysis;
 use crate::baseline::{DroidScopeLikeAnalysis, TaintDroidAnalysis};
-use crate::config::{EngineKind, SystemConfig};
+use crate::config::{NativeEngine, SystemConfig};
 use crate::oracle::ReferenceAnalysis;
 use crate::report::RunReport;
 use ndroid_arm::asm::CodeBlock;
@@ -70,18 +70,6 @@ impl AnalysisBox {
             AnalysisBox::Reference(a) => a.as_mut(),
         }
     }
-
-    /// Rebinds any slot-pinned cache the analysis holds (the NDroid
-    /// handler cache) to the forked memory's epoch — carried contents
-    /// stay valid because snapshot forks move memory and cache as one
-    /// unit.
-    fn rebind_epoch(&mut self, epoch: u64) {
-        match self {
-            AnalysisBox::NDroid(a) => a.rebind_cache_epoch(epoch),
-            AnalysisBox::Reference(a) => a.inner_mut().rebind_cache_epoch(epoch),
-            _ => {}
-        }
-    }
 }
 
 /// The assembled system: emulator, DVM, kernel, host-function table
@@ -109,17 +97,16 @@ pub struct NDroidSystem {
     pub table: std::rc::Rc<HostTable>,
     /// Kernel task table (input to the OS-level view reconstructor).
     pub tasks: TaskWriter,
-    /// Decoded-instruction cache for the guest interpreter (page-wise
-    /// invalidated against memory write generations; `enabled` is the
-    /// A/B knob the `BENCH_taint` suite flips).
-    pub icache: ndroid_arm::icache::DecodeCache,
     /// Superblock cache: straight-line effect programs compiled once
     /// per (page, entry) and replayed as single dispatches, invalidated
-    /// against the same memory write generations as the icache.
+    /// page-wise against memory write generations. Enabled only under
+    /// [`NativeEngine::Blocks`].
     pub blocks: ndroid_arm::block::BlockCache,
     analysis: AnalysisBox,
     /// The configuration this system runs under.
     pub mode: Mode,
+    /// The native engine this system runs under.
+    engine: NativeEngine,
     /// The provenance recorder. The same ring is shared (via cloned
     /// handles) with the DVM, the shadow state and the kernel, so
     /// Java-context, JNI-boundary and native events interleave in one
@@ -142,25 +129,18 @@ fn analysis_for(config: &SystemConfig, dvm: &mut Dvm) -> AnalysisBox {
     match config.mode {
         Mode::Vanilla => AnalysisBox::Vanilla(VanillaAnalysis),
         Mode::TaintDroid => AnalysisBox::TaintDroid(TaintDroidAnalysis),
-        Mode::NDroid => match config.engine {
-            EngineKind::Optimized => {
-                let mut a = Box::new(NDroidAnalysis::new());
-                a.use_cache = config.handler_cache;
-                a.gate_hooks = config.gate_hooks;
-                a.protect_taints = config.protect_taints;
-                a.policy_override = config.source_policies;
-                AnalysisBox::NDroid(a)
+        Mode::NDroid => {
+            let mut a = NDroidAnalysis::new();
+            a.gate_hooks = config.gate_hooks;
+            a.protect_taints = config.protect_taints;
+            a.policy_override = config.source_policies;
+            match config.engine {
+                NativeEngine::Blocks | NativeEngine::Stepper => AnalysisBox::NDroid(Box::new(a)),
+                NativeEngine::Reference => {
+                    AnalysisBox::Reference(Box::new(ReferenceAnalysis::new(a)))
+                }
             }
-            EngineKind::Reference => {
-                let mut a = Box::new(ReferenceAnalysis::new());
-                // The handler cache is structurally absent on the
-                // reference path; the remaining knobs apply as usual.
-                a.inner_mut().gate_hooks = config.gate_hooks;
-                a.inner_mut().protect_taints = config.protect_taints;
-                a.inner_mut().policy_override = config.source_policies;
-                AnalysisBox::Reference(a)
-            }
-        },
+        }
         Mode::DroidScopeLike => {
             dvm.per_insn_tax = DroidScopeLikeAnalysis::JAVA_WORK;
             AnalysisBox::DroidScope(Box::new(DroidScopeLikeAnalysis::new()))
@@ -237,11 +217,8 @@ impl NDroidSystem {
         });
         let mut mem = Memory::new();
         tasks.flush(&mut mem);
-        let mut icache = ndroid_arm::icache::DecodeCache::new();
-        // The reference engine runs with no fast path at all.
-        icache.enabled = config.icache && config.engine == EngineKind::Optimized;
         let mut blocks = ndroid_arm::block::BlockCache::new();
-        blocks.enabled = config.blocks && config.engine == EngineKind::Optimized;
+        blocks.enabled = config.engine == NativeEngine::Blocks;
         let mut shadow = ShadowState::new();
         shadow.prov = prov.clone();
         let mut kernel = Kernel::new();
@@ -260,10 +237,10 @@ impl NDroidSystem {
             budget: config.budget,
             table,
             tasks,
-            icache,
             blocks,
             analysis,
             mode,
+            engine: config.engine,
             prov,
         }
     }
@@ -326,7 +303,6 @@ impl NDroidSystem {
             trace: &mut self.trace,
             analysis: self.analysis.as_dyn(),
             budget: &mut self.budget,
-            icache: &mut self.icache,
             blocks: &mut self.blocks,
             table: &self.table,
         };
@@ -353,7 +329,6 @@ impl NDroidSystem {
             trace: &mut self.trace,
             analysis: self.analysis.as_dyn(),
             budget: &mut self.budget,
-            icache: &mut self.icache,
             blocks: &mut self.blocks,
         };
         ndroid_emu::runtime::call_guest(&mut ctx, &self.table, entry, args, |_, _| {})
@@ -377,14 +352,6 @@ impl NDroidSystem {
             .collect()
     }
 
-    /// NDroid analysis statistics (when running in NDroid mode).
-    pub fn ndroid_stats(&self) -> Option<&AnalysisStats> {
-        match &self.analysis {
-            AnalysisBox::NDroid(a) => Some(&a.stats),
-            _ => None,
-        }
-    }
-
     /// Mutable access to the NDroid analysis (for ablation knobs).
     pub fn ndroid_analysis_mut(&mut self) -> Option<&mut NDroidAnalysis> {
         match &mut self.analysis {
@@ -393,13 +360,9 @@ impl NDroidSystem {
         }
     }
 
-    /// Which tracer engine this system runs (derived from the installed
-    /// analysis, so it cannot desynchronize).
-    pub fn engine(&self) -> EngineKind {
-        match &self.analysis {
-            AnalysisBox::Reference(_) => EngineKind::Reference,
-            _ => EngineKind::Optimized,
-        }
+    /// The native engine this system was booted with.
+    pub fn engine(&self) -> NativeEngine {
+        self.engine
     }
 
     /// The one result type: everything externally observable about the
@@ -456,7 +419,7 @@ impl NDroidSystem {
     }
 
     /// The reference analysis, when the system was booted with
-    /// `SystemConfig::reference()` (engine = [`EngineKind::Reference`]).
+    /// `SystemConfig::reference()` (engine = [`NativeEngine::Reference`]).
     pub fn reference_analysis(&self) -> Option<&ReferenceAnalysis> {
         match &self.analysis {
             AnalysisBox::Reference(a) => Some(a.as_ref()),
@@ -505,11 +468,11 @@ impl NDroidSystem {
     ///   **fresh epoch** drawn so any *foreign* slot-pinned cache that
     ///   later sees this memory self-clears instead of serving stale
     ///   decodes;
-    /// - the decode, superblock and handler caches are cloned and then
-    ///   `rebind_epoch`-ed to the fork's epoch: their contents were
-    ///   built against byte-identical pages with identical write
-    ///   generations, so they stay warm and their hit/miss/invalidation
-    ///   counters replay exactly as a fresh run would produce them;
+    /// - the superblock cache is cloned and then `rebind_epoch`-ed to
+    ///   the fork's epoch: its blocks were built against byte-identical
+    ///   pages with identical write generations, so they stay warm and
+    ///   the hit/miss/invalidation counters replay exactly as a fresh
+    ///   run would produce them;
     /// - the provenance ring is forked (sealed shared base + private
     ///   tail) and the forked handle re-wired into the DVM, shadow
     ///   state and kernel so all four views keep appending to *one*
@@ -518,13 +481,8 @@ impl NDroidSystem {
     ///   `Rc`-shared outright.
     fn fork_clone(&self) -> NDroidSystem {
         let mem = self.mem.fork();
-        let epoch = mem.epoch();
-        let mut icache = self.icache.clone();
-        icache.rebind_epoch(epoch);
         let mut blocks = self.blocks.clone();
-        blocks.rebind_epoch(epoch);
-        let mut analysis = self.analysis.clone();
-        analysis.rebind_epoch(epoch);
+        blocks.rebind_epoch(mem.epoch());
         let prov = self.prov.fork();
         let mut dvm = self.dvm.clone();
         dvm.prov = prov.clone();
@@ -542,10 +500,10 @@ impl NDroidSystem {
             budget: self.budget,
             table: std::rc::Rc::clone(&self.table),
             tasks: self.tasks.clone(),
-            icache,
             blocks,
-            analysis,
+            analysis: self.analysis.clone(),
             mode: self.mode,
+            engine: self.engine,
             prov,
         }
     }

@@ -1,8 +1,9 @@
 //! Differential-oracle property suite: random ARM/Thumb programs run
-//! under both the optimized `NDroidAnalysis` pipeline (decoded-
-//! instruction cache + handler cache + paged taint map) and the
-//! reference engine (`ref_propagate` + sparse map, no caches), then
-//! the final register/VFP/memory taint state is diffed byte-for-byte.
+//! under the `NDroidAnalysis` pipeline, both stepped per instruction
+//! and dispatched through the superblock cache (Table V lowering +
+//! paged taint map), and under the reference engine (`ref_propagate`
+//! over a sparse map, no caches), then the final register/VFP/memory
+//! taint state is diffed byte-for-byte.
 //!
 //! Generated programs cover writeback addressing (pre/post, immediate
 //! and register offsets), all four LDM/STM modes, conditional
@@ -363,9 +364,9 @@ proptest! {
 
     /// Self-modifying code: a harmless branch in the loop body is
     /// patched (by a store later in the same iteration) into a
-    /// random store, so on the second iteration the handler cache's
-    /// cached "irrelevant" classification is stale (the satellite-2
-    /// bug). `r7` holds the replacement word, `r8` the victim address;
+    /// random store, so on the second iteration a cached "irrelevant"
+    /// classification of that pc would be stale (the bug pinned in
+    /// `oracle_regression.rs`). `r7` holds the replacement word, `r8` the victim address;
     /// the body pool excludes both.
     #[test]
     fn smc_reclassification_agrees(
@@ -380,7 +381,7 @@ proptest! {
         let pool = [Reg::R0, Reg::R1, Reg::R5, Reg::R6, Reg::R12];
         let mut body: Vec<Instr> = descs.iter().map(|d| build_instr(&pool, *d)).collect();
         // Victim starts as a fall-through branch (classified
-        // irrelevant, so the handler cache records a skip for its pc).
+        // irrelevant, so the tracer skips its pc on the first pass).
         let victim = Instr::Branch { cond: Cond::Al, link: false, offset: -4 };
         let victim_index = vix as usize % (body.len() + 1);
         body.insert(victim_index, victim);

@@ -5,10 +5,11 @@
 //!    writeback, so `LDR Rd, [Rn], Rm` (and `[Rn, Rm]!`) dropped the
 //!    offset register's taint from the base even though the executor
 //!    left `Rn = Rn ± Rm` (pointer rule violation, under-taint).
-//! 2. **Stale handler classification** — `HandlerCache` keyed on bare
-//!    `pc` with no invalidation, so self-modifying code that patched a
-//!    cached-irrelevant instruction (a branch) into a store kept being
-//!    skipped, losing the store's taint update.
+//! 2. **Stale handler classification** — the per-PC handler cache
+//!    (since removed; the stepper now re-identifies every instruction)
+//!    was keyed on bare `pc` with no invalidation, so self-modifying
+//!    code that patched a cached-irrelevant instruction (a branch) into
+//!    a store kept being skipped, losing the store's taint update.
 //!
 //! Each test asserts the concrete taint fact the buggy pipeline got
 //! wrong (failing before the fix) *and* full oracle equality.
@@ -17,7 +18,7 @@ use ndroid_arm::cond::Cond;
 use ndroid_arm::encode::encode;
 use ndroid_arm::insn::{DpOp, Instr, MemOffset, MemSize, Op2};
 use ndroid_arm::reg::Reg;
-use ndroid_core::oracle::{check_oracle, run_optimized, OracleProgram, StopReason};
+use ndroid_core::oracle::{check_oracle, run_stepper, OracleProgram, StopReason};
 use ndroid_core::NDroidAnalysis;
 use ndroid_dvm::Taint;
 use ndroid_emu::layout::{NATIVE_CODE_BASE, NATIVE_HEAP_BASE};
@@ -77,7 +78,7 @@ fn post_indexed_load_writeback_taints_base() {
 
     let mut analysis = NDroidAnalysis::new();
     let mut shadow = ShadowState::new();
-    let run = run_optimized(&p, &mut analysis, &mut shadow);
+    let run = run_stepper(&p, &mut analysis, &mut shadow);
     assert_eq!(run.stop, StopReason::Returned);
     assert!(
         shadow.regs[1].contains(Taint::CONTACTS),
@@ -103,7 +104,7 @@ fn pre_indexed_store_writeback_taints_base() {
 
     let mut analysis = NDroidAnalysis::new();
     let mut shadow = ShadowState::new();
-    let run = run_optimized(&p, &mut analysis, &mut shadow);
+    let run = run_stepper(&p, &mut analysis, &mut shadow);
     assert_eq!(run.stop, StopReason::Returned);
     assert!(
         shadow.regs[1].contains(Taint::LOCATION),
@@ -125,7 +126,7 @@ fn immediate_writeback_leaves_base_clear() {
 
     let mut analysis = NDroidAnalysis::new();
     let mut shadow = ShadowState::new();
-    run_optimized(&p, &mut analysis, &mut shadow);
+    run_stepper(&p, &mut analysis, &mut shadow);
     assert_eq!(shadow.regs[1], Taint::CLEAR);
     assert_eq!(shadow.regs[0], Taint::CLEAR);
 
@@ -136,9 +137,9 @@ fn immediate_writeback_leaves_base_clear() {
 /// instruction. Iteration 1 executes a fall-through branch at
 /// `CODE+0` (classified irrelevant, cached) and then overwrites that
 /// word with `str r5, [r9]`. Iteration 2 executes the store — the
-/// executor's icache re-decodes it correctly, but before the fix the
-/// handler cache still said "irrelevant" and the tracer skipped it,
-/// silently dropping `t(r5)`'s arrival in memory.
+/// executor re-decodes it correctly, but before the fix the handler
+/// cache still said "irrelevant" and the tracer skipped it, silently
+/// dropping `t(r5)`'s arrival in memory.
 #[test]
 fn smc_patched_store_is_reclassified_and_traced() {
     let replacement = mem(false, Reg::R5, Reg::R9, MemOffset::Imm(0), true, false);
@@ -181,7 +182,7 @@ fn smc_patched_store_is_reclassified_and_traced() {
 
     let mut analysis = NDroidAnalysis::new();
     let mut shadow = ShadowState::new();
-    let run = run_optimized(&p, &mut analysis, &mut shadow);
+    let run = run_stepper(&p, &mut analysis, &mut shadow);
     assert_eq!(run.stop, StopReason::Returned);
     assert_eq!(
         shadow.mem.range_taint(DATA + 0x100, 4),

@@ -25,8 +25,7 @@ use crate::layout::RETURN_SENTINEL;
 use crate::shadow::ShadowState;
 use crate::trace::TraceLog;
 use ndroid_arm::block::{build_block, Block, BlockCache};
-use ndroid_arm::exec::{step_cached, step_decoded, Effect};
-use ndroid_arm::icache::DecodeCache;
+use ndroid_arm::exec::{step, step_decoded, Effect};
 use ndroid_arm::{Cpu, Memory};
 use ndroid_dvm::{Dvm, DvmError, MethodId, MethodKind, NativeHandler, Taint};
 use std::collections::HashMap;
@@ -170,11 +169,8 @@ pub struct NativeCtx<'a> {
     pub analysis: &'a mut dyn Analysis,
     /// Remaining guest-instruction budget.
     pub budget: &'a mut u64,
-    /// Decoded-instruction cache shared by every guest run in this
+    /// Compiled-superblock cache shared by every guest run in this
     /// session (invalidated page-wise via memory write generations).
-    pub icache: &'a mut DecodeCache,
-    /// Compiled-superblock cache shared the same way (invalidated by
-    /// the same page write generations as the icache).
     pub blocks: &'a mut BlockCache,
 }
 
@@ -191,7 +187,6 @@ impl NativeCtx<'_> {
             trace: self.trace,
             analysis: self.analysis,
             budget: self.budget,
-            icache: self.icache,
             blocks: self.blocks,
         }
     }
@@ -379,7 +374,7 @@ fn run_loop(ctx: &mut NativeCtx<'_>, table: &HostTable) -> Result<(), EmuError> 
             return Err(EmuError::Timeout { budget: 0 });
         }
         *ctx.budget -= 1;
-        let effect = step_cached(ctx.cpu, ctx.mem, ctx.icache)?;
+        let effect = step(ctx.cpu, ctx.mem)?;
         ctx.analysis.on_insn(ctx.shadow, ctx.cpu, ctx.mem, &effect);
         if let Some(b) = effect.branch {
             ctx.analysis.on_branch(ctx.shadow, b.from, b.to);
@@ -551,7 +546,6 @@ pub fn call_java_method(
             trace: ctx.trace,
             analysis: ctx.analysis,
             budget: ctx.budget,
-            icache: ctx.icache,
             blocks: ctx.blocks,
             table,
         };
@@ -622,8 +616,6 @@ pub struct GuestRunner<'a> {
     pub analysis: &'a mut dyn Analysis,
     /// Remaining instruction budget.
     pub budget: &'a mut u64,
-    /// Decoded-instruction cache.
-    pub icache: &'a mut DecodeCache,
     /// Compiled-superblock cache.
     pub blocks: &'a mut BlockCache,
     /// Host-function table.
@@ -647,7 +639,6 @@ impl NativeHandler for GuestRunner<'_> {
             trace: self.trace,
             analysis: self.analysis,
             budget: self.budget,
-            icache: self.icache,
             blocks: self.blocks,
         };
         run_native_method(&mut ctx, self.table, method, args, taints).map_err(|e| match e {
@@ -673,7 +664,6 @@ mod tests {
         kernel: Kernel,
         trace: TraceLog,
         budget: u64,
-        icache: DecodeCache,
         blocks: BlockCache,
     }
 
@@ -689,7 +679,6 @@ mod tests {
                 kernel: Kernel::new(),
                 trace: TraceLog::new(),
                 budget: 10_000_000,
-                icache: DecodeCache::new(),
                 blocks: BlockCache::new(),
             }
         }
@@ -704,7 +693,6 @@ mod tests {
                 trace: &mut self.trace,
                 analysis,
                 budget: &mut self.budget,
-                icache: &mut self.icache,
                 blocks: &mut self.blocks,
             }
         }
@@ -890,7 +878,6 @@ mod tests {
             trace: &mut w.trace,
             analysis: &mut a,
             budget: &mut w.budget,
-            icache: &mut w.icache,
             blocks: &mut w.blocks,
             table: &table,
         };

@@ -6,7 +6,6 @@
 //! runs dry mid-block.
 
 use ndroid_arm::block::BlockCache;
-use ndroid_arm::icache::DecodeCache;
 use ndroid_arm::{Assembler, Cond, Cpu, Memory, Reg};
 use ndroid_dvm::{Dvm, Program};
 use ndroid_emu::kernel::Kernel;
@@ -24,7 +23,6 @@ struct World {
     kernel: Kernel,
     trace: TraceLog,
     budget: u64,
-    icache: DecodeCache,
     blocks: BlockCache,
 }
 
@@ -42,7 +40,6 @@ impl World {
             kernel: Kernel::new(),
             trace: TraceLog::new(),
             budget: 1_000_000,
-            icache: DecodeCache::new(),
             blocks,
         }
     }
@@ -59,7 +56,6 @@ impl World {
             trace: &mut self.trace,
             analysis: &mut analysis,
             budget: &mut self.budget,
-            icache: &mut self.icache,
             blocks: &mut self.blocks,
         };
         call_guest(&mut ctx, &table, entry, &[], |_, _| {}).map(|(r0, _)| r0)

@@ -1,10 +1,9 @@
-//! End-to-end decode-cache behavior through the emulator run loop:
-//! `call_guest` fetches through the session's [`DecodeCache`], hot
-//! loops are served from it, and host-side writes to a code page make
-//! the next run re-decode the new bytes.
+//! End-to-end code-cache behavior through the emulator run loop:
+//! `call_guest` dispatches through the session's [`BlockCache`], which
+//! persists across calls, and host-side writes to a code page make the
+//! next run re-decode the new bytes.
 
 use ndroid_arm::block::BlockCache;
-use ndroid_arm::icache::DecodeCache;
 use ndroid_arm::{Assembler, Cond, Cpu, Memory, Reg};
 use ndroid_dvm::{Dvm, Program};
 use ndroid_emu::kernel::Kernel;
@@ -21,7 +20,6 @@ struct World {
     kernel: Kernel,
     trace: TraceLog,
     budget: u64,
-    icache: DecodeCache,
     blocks: BlockCache,
 }
 
@@ -29,11 +27,6 @@ impl World {
     fn new() -> World {
         let mut cpu = Cpu::new();
         cpu.regs[13] = layout::NATIVE_STACK_TOP;
-        // Superblock dispatch off: this suite pins the *stepper* path's
-        // decode-cache behavior (the block path has its own suite in
-        // block_runtime.rs).
-        let mut blocks = BlockCache::new();
-        blocks.enabled = false;
         World {
             cpu,
             mem: Memory::new(),
@@ -42,8 +35,7 @@ impl World {
             kernel: Kernel::new(),
             trace: TraceLog::new(),
             budget: 1_000_000,
-            icache: DecodeCache::new(),
-            blocks,
+            blocks: BlockCache::new(),
         }
     }
 
@@ -59,7 +51,6 @@ impl World {
             trace: &mut self.trace,
             analysis: &mut analysis,
             budget: &mut self.budget,
-            icache: &mut self.icache,
             blocks: &mut self.blocks,
         };
         let (r0, _) = call_guest(&mut ctx, &table, entry, &[], |_, _| {}).expect("guest run");
@@ -82,12 +73,12 @@ fn run_loop_reuses_the_session_cache_across_calls() {
     let mut w = World::new();
     w.mem.write_bytes(code.base, &code.bytes);
     assert_eq!(w.call(code.base), 50);
-    let hits_first = w.icache.hits;
+    let hits_first = w.blocks.hits;
     assert!(hits_first > 0, "hot loop served from the cache");
     assert_eq!(w.call(code.base), 50);
     assert!(
-        w.icache.hits > hits_first,
-        "second call reuses decodes from the first (shared session cache)"
+        w.blocks.hits > hits_first,
+        "second call reuses blocks from the first (shared session cache)"
     );
 }
 
@@ -110,5 +101,5 @@ fn host_write_to_code_page_forces_redecode() {
     w.mem.write_u32(base, word);
 
     assert_eq!(w.call(base), 3, "run loop decodes the patched bytes");
-    assert!(w.icache.invalidations > 0);
+    assert!(w.blocks.invalidations > 0);
 }

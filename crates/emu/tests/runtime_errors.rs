@@ -3,7 +3,6 @@
 //! contexts.
 
 use ndroid_arm::block::BlockCache;
-use ndroid_arm::icache::DecodeCache;
 use ndroid_arm::reg::RegList;
 use ndroid_arm::{Assembler, Cpu, Memory, Reg};
 use ndroid_dvm::{Dvm, Program};
@@ -19,7 +18,6 @@ struct World {
     kernel: Kernel,
     trace: TraceLog,
     budget: u64,
-    icache: DecodeCache,
     blocks: BlockCache,
 }
 
@@ -35,7 +33,6 @@ impl World {
             kernel: Kernel::new(),
             trace: TraceLog::new(),
             budget: 100_000,
-            icache: DecodeCache::new(),
             blocks: BlockCache::new(),
         }
     }
@@ -55,7 +52,6 @@ impl World {
             trace: &mut self.trace,
             analysis: &mut analysis,
             budget: &mut self.budget,
-            icache: &mut self.icache,
             blocks: &mut self.blocks,
         };
         call_guest(&mut ctx, table, entry, &[], |_, _| {})

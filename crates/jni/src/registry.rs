@@ -129,18 +129,18 @@ pub fn dvm_addr(name: &str) -> u32 {
 /// exactly as jumping into the middle of libdvm would misbehave.
 pub fn install_jni(table: &mut HostTable) {
     for name in jni_names() {
-        if DVM_INTERNAL_NAMES.contains(&name.as_str()) {
+        let name: &'static str = name.as_str();
+        if DVM_INTERNAL_NAMES.contains(&name) {
             continue;
         }
         let addr = dvm_addr(name);
         if let Some((is_static, form)) = parse_call_name(name) {
-            let leaked: &'static str = Box::leak(name.clone().into_boxed_str());
-            table.register(addr, leaked, move |ctx, t| {
-                calls::call_method(ctx, t, leaked, is_static, form)
+            table.register(addr, name, move |ctx, t| {
+                calls::call_method(ctx, t, name, is_static, form)
             });
             continue;
         }
-        match name.as_str() {
+        match name {
             "NewStringUTF" => table.register(addr, "NewStringUTF", |ctx, _| {
                 strings::new_string_utf(ctx)
             }),
@@ -182,9 +182,8 @@ pub fn install_jni(table: &mut HostTable) {
             }
             "NewBooleanArray" | "NewCharArray" | "NewShortArray" | "NewIntArray"
             | "NewLongArray" | "NewFloatArray" | "NewDoubleArray" => {
-                let leaked: &'static str = Box::leak(name.clone().into_boxed_str());
-                table.register(addr, leaked, move |ctx, _| {
-                    arrays::new_primitive_array(ctx, leaked)
+                table.register(addr, name, move |ctx, _| {
+                    arrays::new_primitive_array(ctx, name)
                 });
             }
             "GetArrayLength" => table.register(addr, "GetArrayLength", |ctx, _| {
@@ -242,16 +241,14 @@ pub fn install_jni(table: &mut HostTable) {
             }),
             "GetBooleanField" | "GetByteField" | "GetCharField" | "GetShortField"
             | "GetIntField" | "GetLongField" | "GetFloatField" | "GetDoubleField" => {
-                let leaked: &'static str = Box::leak(name.clone().into_boxed_str());
-                table.register(addr, leaked, |ctx, _| objects::get_field(ctx));
+                table.register(addr, name, |ctx, _| objects::get_field(ctx));
             }
             "SetObjectField" => table.register(addr, "SetObjectField", |ctx, _| {
                 objects::set_object_field(ctx)
             }),
             "SetBooleanField" | "SetByteField" | "SetCharField" | "SetShortField"
             | "SetIntField" | "SetLongField" | "SetFloatField" | "SetDoubleField" => {
-                let leaked: &'static str = Box::leak(name.clone().into_boxed_str());
-                table.register(addr, leaked, |ctx, _| objects::set_field(ctx));
+                table.register(addr, name, |ctx, _| objects::set_field(ctx));
             }
             "GetStaticObjectField" => table.register(addr, "GetStaticObjectField", |ctx, _| {
                 objects::get_static_object_field(ctx)

@@ -3,7 +3,6 @@
 //! references and exceptions with taint tracking active.
 
 use ndroid_arm::block::BlockCache;
-use ndroid_arm::icache::DecodeCache;
 use ndroid_arm::reg::RegList;
 use ndroid_arm::{Assembler, Cpu, Memory, Reg};
 use ndroid_dvm::framework::install_framework;
@@ -56,7 +55,6 @@ struct World {
     kernel: Kernel,
     trace: TraceLog,
     budget: u64,
-    icache: DecodeCache,
     blocks: BlockCache,
     table: HostTable,
 }
@@ -96,7 +94,6 @@ impl World {
             kernel: Kernel::new(),
             trace: TraceLog::new(),
             budget: 1_000_000,
-            icache: DecodeCache::new(),
             blocks: BlockCache::new(),
             table,
         }
@@ -119,7 +116,6 @@ impl World {
             trace: &mut self.trace,
             analysis: &mut analysis,
             budget: &mut self.budget,
-            icache: &mut self.icache,
             blocks: &mut self.blocks,
         };
         let (r0, _) = call_guest(&mut ctx, &self.table, code.base, args, |_, _| {})

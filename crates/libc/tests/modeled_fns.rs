@@ -3,7 +3,6 @@
 //! analysis so the `TrustCallPolicy` taint transfers are observable.
 
 use ndroid_arm::block::BlockCache;
-use ndroid_arm::icache::DecodeCache;
 use ndroid_arm::{Assembler, Cpu, Memory, Reg};
 use ndroid_dvm::{Dvm, Program, Taint};
 use ndroid_emu::layout;
@@ -30,7 +29,6 @@ struct World {
     kernel: Kernel,
     trace: TraceLog,
     budget: u64,
-    icache: DecodeCache,
     blocks: BlockCache,
     table: HostTable,
 }
@@ -49,7 +47,6 @@ impl World {
             kernel: Kernel::new(),
             trace: TraceLog::new(),
             budget: 1_000_000,
-            icache: DecodeCache::new(),
             blocks: BlockCache::new(),
             table,
         }
@@ -73,7 +70,6 @@ impl World {
             trace: &mut self.trace,
             analysis: &mut analysis,
             budget: &mut self.budget,
-            icache: &mut self.icache,
             blocks: &mut self.blocks,
         };
         let (r0, _) = call_guest(&mut ctx, &self.table, code.base, &[], |_, _| {})
@@ -351,7 +347,6 @@ fn libm_taint_flows_through_math() {
         trace: &mut w.trace,
         analysis: &mut analysis,
         budget: &mut w.budget,
-        icache: &mut w.icache,
         blocks: &mut w.blocks,
     };
     ctx.cpu.regs[0] = x as u32;

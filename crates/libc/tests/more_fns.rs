@@ -3,7 +3,6 @@
 //! printf variants — all via genuine guest code.
 
 use ndroid_arm::block::BlockCache;
-use ndroid_arm::icache::DecodeCache;
 use ndroid_arm::reg::RegList;
 use ndroid_arm::{Assembler, Cpu, Memory, Reg};
 use ndroid_dvm::{Dvm, Program, Taint};
@@ -27,7 +26,6 @@ struct World {
     kernel: Kernel,
     trace: TraceLog,
     budget: u64,
-    icache: DecodeCache,
     blocks: BlockCache,
     table: HostTable,
 }
@@ -46,7 +44,6 @@ impl World {
             kernel: Kernel::new(),
             trace: TraceLog::new(),
             budget: 1_000_000,
-            icache: DecodeCache::new(),
             blocks: BlockCache::new(),
             table,
         }
@@ -69,7 +66,6 @@ impl World {
             trace: &mut self.trace,
             analysis: &mut analysis,
             budget: &mut self.budget,
-            icache: &mut self.icache,
             blocks: &mut self.blocks,
         };
         call_guest(&mut ctx, &self.table, code.base, &[], |_, _| {})

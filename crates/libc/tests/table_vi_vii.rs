@@ -6,7 +6,6 @@
 //! `write*`/`send*` (Fig. 7/8).
 
 use ndroid_arm::block::BlockCache;
-use ndroid_arm::icache::DecodeCache;
 use ndroid_arm::{Cpu, Memory};
 use ndroid_dvm::{Dvm, Program, Taint};
 use ndroid_emu::layout;
@@ -33,7 +32,6 @@ struct W {
     kernel: Kernel,
     trace: TraceLog,
     budget: u64,
-    icache: DecodeCache,
     blocks: BlockCache,
 }
 
@@ -49,7 +47,6 @@ impl W {
             kernel: Kernel::new(),
             trace: TraceLog::new(),
             budget: 1_000_000,
-            icache: DecodeCache::new(),
             blocks: BlockCache::new(),
         }
     }
@@ -72,7 +69,6 @@ impl W {
             trace: &mut self.trace,
             analysis: &mut analysis,
             budget: &mut self.budget,
-            icache: &mut self.icache,
             blocks: &mut self.blocks,
         };
         f(&mut ctx).expect("host fn")

@@ -40,6 +40,12 @@ fi
 stage "cargo build --release --offline"
 cargo build --workspace --release --offline
 
+stage "benchmark package builds against the workspace crates"
+# ndbench is a separate package (its own workspace) that calls the
+# crates' public API; building it here makes an API change that breaks
+# the benchmark fail in CI instead of at benchmark time.
+cargo build --release --offline --manifest-path ndbench/Cargo.toml
+
 stage "cargo test --offline"
 cargo test -q --workspace --offline
 
@@ -77,9 +83,9 @@ stage "adversarial corpus: detection matrix, scoring harness, leak-path golden"
 TESTKIT_CASES="${TESTKIT_CASES:-256}" cargo test -q --offline -p ndroid-apps \
   --test adversarial_regression --test score_harness
 cargo run -q --release --offline -p ndroid-bench --bin exp_adversarial
-# The same gate with superblock dispatch disabled: the per-instruction
-# stepper must reproduce the identical score matrix and transcript.
-cargo run -q --release --offline -p ndroid-bench --bin exp_adversarial -- --no-blocks
+# The same gate on the uncached Stepper engine: the per-instruction
+# tracer must reproduce the identical score matrix and transcript.
+cargo run -q --release --offline -p ndroid-bench --bin exp_adversarial -- --engine stepper
 
 stage "provenance store: fleet query transcript must match the golden"
 # Runs the gallery + adversarial corpus through the farm with the

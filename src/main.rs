@@ -102,9 +102,9 @@ fn main() {
                         println!("  LEAK: {}", describe_leak(leak));
                         println!("        data: {}", leak.data);
                     }
-                    if let Some(stats) = sys.ndroid_stats() {
+                    if let Some(stats) = sys.report().stats {
                         println!(
-                            "  analysis: {} insns traced ({} cache-skipped), {} jni entries, {} source policies, {} chains",
+                            "  analysis: {} insns traced ({} without taint work), {} jni entries, {} source policies, {} chains",
                             stats.insns_traced,
                             stats.insns_skipped,
                             stats.jni_entries,

@@ -127,7 +127,7 @@ fn trace_log_structure_covers_all_hook_groups() {
 #[test]
 fn analysis_stats_are_populated() {
     let sys = poc_case2::poc_case2().run(Mode::NDroid).unwrap();
-    let stats = sys.ndroid_stats().unwrap();
+    let stats = sys.report().stats.unwrap();
     assert!(stats.insns_traced > 10);
     assert!(stats.branch_events > 5);
     assert!(stats.jni_entries >= 1);
