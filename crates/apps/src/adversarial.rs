@@ -327,8 +327,9 @@ fn mutation_base() -> FlowSpec {
     }
 }
 
-/// The μDep-style mutation variants of [`mutation_base`], labeled with
-/// their ground truth: taint-preserving mutations keep the leak,
+/// The μDep-style mutation variants of one base flow (a contact
+/// source through `strcpy` to a native `send`), labeled with their
+/// ground truth: taint-preserving mutations keep the leak,
 /// taint-killing ones sever it (and a later preserving mutation must
 /// not resurrect it).
 pub fn mutation_variants() -> Vec<(&'static str, FlowSpec)> {

@@ -47,7 +47,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The cross-run query satellite: with the tiered store on,
+    /// The cross-run query satellite: with small segments,
     /// `BatchReport::query` over a 2- or 8-worker merge is
     /// byte-identical (structurally and in its rendering) to the same
     /// query over the sequential 1-worker merge — per-label,
@@ -65,7 +65,6 @@ proptest! {
             let config = SystemConfig::ndroid()
                 .quiet(true)
                 .provenance(ProvenanceLevel::Full)
-                .provenance_store(true)
                 .provenance_capacity(cap);
             jobs_from(&[&Gallery, &CorpusShard { n: shard, seed: shard_seed }], &config)
         };
@@ -168,7 +167,7 @@ fn provenance_fingerprints_are_worker_count_invariant() {
     assert_eq!(pinned, fingerprints(&eight));
     assert_eq!(pinned.len(), 3, "three gallery apps");
     for (name, _, dropped, leak_paths) in &pinned {
-        assert_eq!(*dropped, 0, "{name}: ring never overflows on the gallery");
+        assert_eq!(*dropped, 0, "{name}: the gallery never nears the budget");
         assert!(*leak_paths > 0, "{name}: every gallery app yields a leak path");
     }
     assert_eq!(one, eight, "whole merged reports stay equal too");

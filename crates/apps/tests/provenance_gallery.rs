@@ -72,7 +72,7 @@ fn report_summary_digests_the_graph() {
         assert_eq!(summary.fingerprint, graph.fingerprint(), "{name}");
         assert_eq!(summary.leak_paths, graph.total_leak_paths(), "{name}");
         assert_eq!(summary.recorded, graph.events().len() as u64, "{name}");
-        assert_eq!(summary.dropped, 0, "{name}: default ring never overflows here");
+        assert_eq!(summary.dropped, 0, "{name}: the gallery never nears the budget");
         assert!(summary.leak_paths > 0, "{name}: at least one leak path");
     }
 }
@@ -89,22 +89,24 @@ fn off_level_records_nothing_and_reports_none() {
     }
 }
 
-/// The tiered store is invisible to every golden — same events, same
-/// fingerprint, same leak paths, nothing dropped — while the sealed
-/// segments' kind masks let the leak-path accounting decode fewer than
-/// half of them (the segment-skip acceptance gate).
+/// The segment length is invisible to every golden — capacity 4 and
+/// the default capacity record the same events, fingerprint and leak
+/// paths, nothing dropped — while the sealed segments' kind masks let
+/// the leak-path accounting decode fewer than half of them (the
+/// segment-skip acceptance gate).
 #[test]
 fn tiered_store_preserves_goldens_and_skips_segments() {
     for (name, build) in GALLERY {
-        let flat = run(build, NativeEngine::Blocks, ProvenanceLevel::Full);
+        let whole = run(build, NativeEngine::Blocks, ProvenanceLevel::Full);
         let sys = run_store(build, NativeEngine::Blocks, ProvenanceLevel::Full, 4);
-        assert_eq!(sys.prov_events(), flat.prov_events(), "{name}: stream unchanged");
+        assert_eq!(sys.prov_events(), whole.prov_events(), "{name}: stream unchanged");
         let report = sys.report();
-        let summary = report.provenance.expect("tiered run carries a summary");
-        let baseline = flat.report().provenance.expect("flat run carries a summary");
+        let summary = report.provenance.expect("capacity-4 run carries a summary");
+        let baseline = whole.report().provenance.expect("default run carries a summary");
+        assert_eq!(baseline.segments, 0, "{name}: the default capacity never seals here");
         assert_eq!(summary.fingerprint, baseline.fingerprint, "{name}");
         assert_eq!(summary.leak_paths, baseline.leak_paths, "{name}");
-        assert_eq!(summary.dropped, 0, "{name}: tiered mode never drops");
+        assert_eq!(summary.dropped, 0, "{name}: the gallery never nears the budget");
         assert!(summary.segments >= 3, "{name}: capacity 4 forces sealing");
         assert!(
             summary.segments_decoded * 2 < summary.segments,
@@ -119,8 +121,8 @@ fn tiered_store_preserves_goldens_and_skips_segments() {
         let store = report
             .provenance_store
             .as_ref()
-            .expect("tiered run snapshots its store");
-        assert_eq!(store.events_vec(), flat.prov_events(), "{name}");
+            .expect("capacity-4 run snapshots its store");
+        assert_eq!(store.events_vec(), whole.prov_events(), "{name}");
         let sink_label = sys
             .prov_events()
             .iter()
@@ -142,17 +144,18 @@ fn tiered_store_preserves_goldens_and_skips_segments() {
     }
 }
 
-/// Flat (non-tiered) runs keep reports lean: no store snapshot rides
-/// along, and the tier counters stay zero.
+/// Every run that records provenance carries its frozen store, equal
+/// to the live stream; an `Off` run carries none.
 #[test]
-fn flat_runs_report_no_store_and_zero_segments() {
+fn provenance_on_runs_carry_a_store_and_off_runs_none() {
     for (name, build) in GALLERY {
-        let sys = run(build, NativeEngine::Blocks, ProvenanceLevel::Full);
-        let report = sys.report();
-        assert!(report.provenance_store.is_none(), "{name}");
-        let summary = report.provenance.expect("summary");
-        assert_eq!(summary.segments, 0, "{name}: flat mode never seals");
-        assert_eq!(summary.segments_decoded, 0, "{name}");
+        for level in [ProvenanceLevel::Summary, ProvenanceLevel::Full] {
+            let sys = run(build, NativeEngine::Blocks, level);
+            let store = sys.report().provenance_store.expect("provenance on carries a store");
+            assert_eq!(store.events_vec(), sys.prov_events(), "{name} at {level}");
+        }
+        let off = run(build, NativeEngine::Blocks, ProvenanceLevel::Off);
+        assert!(off.report().provenance_store.is_none(), "{name}: Off carries no store");
     }
 }
 

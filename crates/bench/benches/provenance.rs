@@ -6,7 +6,7 @@
 //!
 //! Interpreting the numbers: `gallery/off` must sit within measurement
 //! noise of `gallery/baseline` (a config that never mentions
-//! provenance) — `Level::Off` leaves the handle's ring unallocated, so
+//! provenance) — `Level::Off` leaves the handle's store unallocated, so
 //! the hot path pays exactly one null-check branch per potential
 //! emission. `summary` adds boundary/libc/sink events only; `full`
 //! additionally aggregates per-basic-block native summaries, so it is
@@ -62,7 +62,7 @@ fn main() {
         black_box(graph.fingerprint());
     });
 
-    // Tiered-store costs, isolated: a realistic 4096-event stream
+    // Store costs, isolated: a realistic 4096-event stream
     // (the three gallery streams concatenated and cycled, so string
     // interning sees real name reuse) sealed into 1024-event segments.
     let stream: Vec<ProvEvent> = {
@@ -80,7 +80,7 @@ fn main() {
         all.iter().cycle().take(4096).cloned().collect()
     };
     suite.bench("store/seal", || {
-        let h = ProvHandle::tiered(ProvenanceLevel::Full, 1024);
+        let h = ProvHandle::with_capacity(ProvenanceLevel::Full, 1024);
         for ev in &stream {
             h.emit(ev.clone());
         }
@@ -89,12 +89,12 @@ fn main() {
     });
     let seal_median_ns = suite.results().last().expect("just benched").median_ns;
 
-    let handle = ProvHandle::tiered(ProvenanceLevel::Full, 1024);
+    let handle = ProvHandle::with_capacity(ProvenanceLevel::Full, 1024);
     for ev in &stream {
         handle.emit(ev.clone());
     }
     handle.seal_segment();
-    let frozen = handle.store_snapshot().expect("tiered run has a store");
+    let frozen = handle.store_snapshot().expect("provenance on");
     suite.bench("store/decode", || {
         black_box(frozen.events_vec());
     });

@@ -1,12 +1,12 @@
 //! Experiment / CI gate: fleet-scale provenance queries over the
-//! tiered store.
+//! provenance store.
 //!
 //! Runs the gallery and the adversarial corpus through the batch farm
-//! with the tiered provenance store enabled at a deliberately small
-//! hot-ring capacity (so every run seals segments), then renders a
-//! fixed set of cross-run [`ProvQuery`]s — per-label, per-kind,
-//! per-sink-name, seq-windowed — plus each job's tier counters
-//! (segments sealed / segments decoded by the leak-path accounting).
+//! recording provenance at a deliberately small segment length (so
+//! every run seals segments), then renders a fixed set of cross-run
+//! [`ProvQuery`]s — per-label, per-kind, per-sink-name, seq-windowed —
+//! plus each job's tier counters (segments sealed / segments decoded
+//! by the leak-path accounting).
 //! The transcript is diffed against the golden; any divergence exits
 //! 1. Pass `--bless` to rewrite the golden after an intentional
 //! corpus or store-format change.
@@ -30,7 +30,6 @@ fn main() {
     let config = SystemConfig::ndroid()
         .quiet(true)
         .provenance(ProvenanceLevel::Full)
-        .provenance_store(true)
         .provenance_capacity(4);
     let batch = run_batch(
         jobs_from(&[&Gallery, &Adversarial], &config),

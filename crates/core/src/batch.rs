@@ -22,18 +22,20 @@
 //! in `ndroid-apps` (`farm` module) packages gallery apps, corpus
 //! samples, and monkey-driver runs into [`JobSource`]s.
 //!
-//! The queue is sharded: one `Mutex<VecDeque>` per worker, jobs dealt
-//! round-robin at submission, and an idle worker steals from the other
-//! shards before parking. With deterministic merge this is purely a
-//! contention optimization — stealing changes who runs a job, never
-//! where its result lands.
-//!
-//! Since the resident-service redesign, workers are mode-agnostic: the
-//! shared [`worker_loop`] pulls from a [`JobQueue`] trait object, and
-//! `run_batch` is "spawn workers over a pre-loaded [`ShardedQueue`] and
-//! wait". [`crate::service::AnalysisService`] drives the *same* loop
-//! from a live lane queue, which is why its `drain()` reproduces this
-//! module's merge byte for byte.
+//! There are two job queues behind one worker loop. [`run_batch`]
+//! uses the **sharded queue**: every job pre-loaded, one
+//! `Mutex<VecDeque>` per worker, jobs dealt round-robin, and an idle
+//! worker steals from the other shards; with deterministic merge this
+//! is purely a contention optimization — stealing changes who runs a
+//! job, never where its result lands.
+//! [`crate::service::AnalysisService`] uses the **lane queue**: a
+//! live, bounded, two-lane queue that workers block on until work
+//! arrives or the service closes. Workers are mode-agnostic — both
+//! queues sit behind one crate-private queue trait and one shared
+//! worker loop — which is why the service's `drain()` reproduces this
+//! module's merge byte for byte. (`run_batch` deliberately keeps its
+//! own queue rather than running on the service: the shared path was
+//! measured slower and heavier on the corpus batch.)
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -346,8 +348,8 @@ impl BatchReport {
     /// (the job index is part of every hit, sequence numbers stay
     /// per-run). Because the `BatchReport` itself is schedule-free,
     /// the merged result — and its rendering — is byte-identical at
-    /// any worker count; jobs without a store (flat-ring or `Off`
-    /// runs, failures) contribute nothing.
+    /// any worker count; jobs without a store (`Off` runs, failures)
+    /// contribute nothing.
     pub fn query(&self, query: &ProvQuery) -> BatchQueryResult {
         let mut hits = Vec::new();
         let mut stats = QueryStats::default();

@@ -107,7 +107,7 @@ pub struct NDroidSystem {
     pub mode: Mode,
     /// The native engine this system runs under.
     engine: NativeEngine,
-    /// The provenance recorder. The same ring is shared (via cloned
+    /// The provenance recorder. The same store is shared (via cloned
     /// handles) with the DVM, the shadow state and the kernel, so
     /// Java-context, JNI-boundary and native events interleave in one
     /// globally ordered stream.
@@ -164,11 +164,7 @@ impl NDroidSystem {
         cpu.regs[13] = layout::NATIVE_STACK_TOP;
         let mut dvm = Dvm::new(program);
         dvm.taint_tracking = mode != Mode::Vanilla;
-        let prov = if config.provenance_store {
-            Handle::tiered(config.provenance, config.provenance_capacity)
-        } else {
-            Handle::with_capacity(config.provenance, config.provenance_capacity)
-        };
+        let prov = Handle::with_capacity(config.provenance, config.provenance_capacity);
         dvm.prov = prov.clone();
         let analysis = analysis_for(&config, &mut dvm);
         let mut table = HostTable::new();
@@ -473,10 +469,10 @@ impl NDroidSystem {
     ///   pages with identical write generations, so they stay warm and
     ///   the hit/miss/invalidation counters replay exactly as a fresh
     ///   run would produce them;
-    /// - the provenance ring is forked (sealed shared base + private
-    ///   tail) and the forked handle re-wired into the DVM, shadow
-    ///   state and kernel so all four views keep appending to *one*
-    ///   ring per fork;
+    /// - the provenance store is forked (sealed segments shared, hot
+    ///   tier cloned, nothing sealed) and the forked handle re-wired
+    ///   into the DVM, shadow state and kernel so all four views keep
+    ///   appending to *one* store per fork;
     /// - the host-function table — immutable after installation — is
     ///   `Rc`-shared outright.
     fn fork_clone(&self) -> NDroidSystem {

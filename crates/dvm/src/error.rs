@@ -42,6 +42,11 @@ pub enum DvmError {
         /// Array length.
         len: u32,
     },
+    /// A guest asked for an array of negative length.
+    NegativeArraySize(i32),
+    /// A guest asked for an array longer than
+    /// [`crate::heap::MAX_ARRAY_LEN`] elements.
+    ArrayTooLarge(u32),
     /// Field index out of bounds for the instance.
     BadFieldIndex(u32),
     /// A bytecode branch target fell outside the method.
@@ -88,6 +93,12 @@ impl fmt::Display for DvmError {
             DvmError::IndexOutOfBounds { index, len } => {
                 write!(f, "array index {index} out of bounds (len {len})")
             }
+            DvmError::NegativeArraySize(len) => write!(f, "negative array size {len}"),
+            DvmError::ArrayTooLarge(len) => write!(
+                f,
+                "array of {len} elements exceeds the {} element cap",
+                crate::heap::MAX_ARRAY_LEN
+            ),
             DvmError::BadFieldIndex(i) => write!(f, "field index {i} out of bounds"),
             DvmError::BadBranchTarget(t) => write!(f, "branch target {t} outside method"),
             DvmError::BadRegister(v) => write!(f, "register v{v} outside frame"),
@@ -121,6 +132,8 @@ mod tests {
             DvmError::DanglingObject(3),
             DvmError::BadIndirectRef(0xa890_0025),
             DvmError::IndexOutOfBounds { index: 5, len: 2 },
+            DvmError::NegativeArraySize(-1),
+            DvmError::ArrayTooLarge(u32::MAX >> 1),
             DvmError::OutOfFuel,
             DvmError::DivideByZero,
         ];

@@ -9,7 +9,7 @@
 //! guest-visible **direct address** that [`Heap::compact`] reassigns.
 
 use crate::error::DvmError;
-use crate::object::HeapObject;
+use crate::object::{ArrayKind, HeapObject};
 use crate::taint::Taint;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -21,6 +21,11 @@ pub struct ObjectId(pub u32);
 /// Base of the guest-visible address range the DVM heap occupies
 /// (matches the `0x41xxxxxx` object addresses in the paper's logs).
 pub const HEAP_BASE: u32 = 0x4100_0000;
+
+/// Longest array a guest may allocate, in elements (4 MiB of 32-bit
+/// slots): thousands of times any workload's largest array, yet far
+/// from a host allocation failure, which aborts rather than panics.
+pub const MAX_ARRAY_LEN: u32 = 1 << 20;
 
 /// The managed object heap.
 ///
@@ -74,6 +79,30 @@ impl Heap {
         self.direct_addrs.push(addr);
         self.by_addr.insert(addr, id);
         id
+    }
+
+    /// Allocates a zeroed, untainted array of `len` elements, where
+    /// `len` is a raw guest `jsize` (read as `i32`, as Dalvik does) —
+    /// the one allocation path for `new-array` and JNI
+    /// `New<Type>Array`, so no guest length reaches the host allocator
+    /// unchecked.
+    ///
+    /// # Errors
+    ///
+    /// [`DvmError::NegativeArraySize`] for a negative length and
+    /// [`DvmError::ArrayTooLarge`] above [`MAX_ARRAY_LEN`].
+    pub fn alloc_array(&mut self, kind: ArrayKind, len: u32) -> Result<ObjectId, DvmError> {
+        if (len as i32) < 0 {
+            return Err(DvmError::NegativeArraySize(len as i32));
+        }
+        if len > MAX_ARRAY_LEN {
+            return Err(DvmError::ArrayTooLarge(len));
+        }
+        Ok(self.alloc(HeapObject::Array {
+            kind,
+            data: vec![0; len as usize],
+            taint: Taint::CLEAR,
+        }))
     }
 
     /// Convenience: allocates a string object.
@@ -205,7 +234,25 @@ impl Heap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::ArrayKind;
+
+    #[test]
+    fn array_lengths_are_checked_as_jsize() {
+        let mut h = Heap::new();
+        assert_eq!(
+            h.alloc_array(ArrayKind::Primitive, u32::MAX),
+            Err(DvmError::NegativeArraySize(-1))
+        );
+        assert_eq!(
+            h.alloc_array(ArrayKind::Byte, MAX_ARRAY_LEN + 1),
+            Err(DvmError::ArrayTooLarge(MAX_ARRAY_LEN + 1))
+        );
+        assert!(h.is_empty(), "a refused length allocates nothing");
+        let id = h.alloc_array(ArrayKind::Object, MAX_ARRAY_LEN).unwrap();
+        match h.get(id).unwrap() {
+            HeapObject::Array { data, .. } => assert_eq!(data.len(), MAX_ARRAY_LEN as usize),
+            other => panic!("not an array: {other:?}"),
+        }
+    }
 
     #[test]
     fn alloc_and_access() {

@@ -424,12 +424,7 @@ impl Dvm {
                         self.stack.set(dst, Dvm::ref_value(id), Taint::CLEAR)?;
                     }
                     DexInsn::NewArray { dst, size, kind } => {
-                        let n = self.stack.reg(size)? as usize;
-                        let id = self.heap.alloc(HeapObject::Array {
-                            kind,
-                            data: vec![0; n],
-                            taint: Taint::CLEAR,
-                        });
+                        let id = self.heap.alloc_array(kind, self.stack.reg(size)?)?;
                         self.stack.set(dst, Dvm::ref_value(id), Taint::CLEAR)?;
                     }
                     DexInsn::ArrayLength { dst, arr } => {

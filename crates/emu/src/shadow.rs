@@ -554,7 +554,7 @@ pub struct ShadowState {
     /// accounting in the benchmarks).
     pub ops: u64,
     /// Provenance recorder shared with the DVM and the kernel model
-    /// (defaults to `Level::Off`: no ring, nothing recorded).
+    /// (defaults to `Level::Off`: no store, nothing recorded).
     pub prov: ndroid_provenance::Handle,
 }
 

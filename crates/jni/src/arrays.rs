@@ -22,11 +22,7 @@ fn alloc_array(
     let maf_addr = dvm_addr(maf);
     ctx.analysis
         .on_branch(ctx.shadow, dvm_addr(nof) + 0x10, maf_addr);
-    let id = ctx.dvm.heap.alloc(HeapObject::Array {
-        kind,
-        data: vec![0; len as usize],
-        taint: Taint::CLEAR,
-    });
+    let id = ctx.dvm.heap.alloc_array(kind, len).map_err(dvm_err)?;
     ctx.analysis
         .on_branch(ctx.shadow, maf_addr + 4, dvm_addr(nof) + 0x14);
     ctx.trace.push("hook", format!("{nof} End"));

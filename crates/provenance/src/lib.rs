@@ -3,11 +3,11 @@
 //! # ndroid-provenance
 //!
 //! The taint **provenance** subsystem: a compact event vocabulary for
-//! taint propagation ([`ProvEvent`]), a bounded ring recorder with an
-//! exact drop counter ([`Ring`] behind a shared [`Handle`]), and a
-//! [`FlowGraph`] builder that stitches the recorded events into
+//! taint propagation ([`ProvEvent`]), one byte-bounded recorder (a
+//! [`Store`] of compressed sealed segments behind a shared [`Handle`]),
+//! a [`FlowGraph`] builder that stitches the recorded events into
 //! per-label chains supporting `leak_paths()` queries plus DOT/JSON
-//! export.
+//! export, and a segment-skipping [`ProvQuery`] over frozen stores.
 //!
 //! The paper's NDroid does not merely flag leaks — its output is a
 //! propagation log from which an analyst reconstructs *how* tainted
@@ -15,10 +15,10 @@
 //! code, to a sink (the §V case studies of the paper walk exactly such
 //! paths). This crate is that log, bounded: native propagation is
 //! aggregated per basic-block run (one [`ProvEvent::NativeBlock`] per
-//! run, never one event per instruction), the ring never grows past
-//! its capacity (oldest events are evicted and counted, never a
-//! panic), and recording is gated by [`Level`] so `Off` costs nothing
-//! on the hot path.
+//! run, never one event per instruction), the store's sealed bytes
+//! never grow past [`SEALED_BUDGET`] (oldest segments are evicted and
+//! their events counted, never a panic), and recording is gated by
+//! [`Level`] so `Off` costs nothing on the hot path.
 //!
 //! The crate is deliberately dependency-free: labels are raw `u32`
 //! TaintDroid bitmasks, so every layer of the pipeline (DVM, emulator,
@@ -27,7 +27,6 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 mod query;
@@ -35,7 +34,7 @@ mod store;
 pub mod varint;
 
 pub use query::{ProvQuery, QueryHit, QueryResult, QueryStats};
-pub use store::{EventKind, ProvStore, SealedSegment, Store};
+pub use store::{EventKind, ProvStore, SealedSegment, Store, SEALED_BUDGET};
 
 /// How much provenance is recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -217,193 +216,9 @@ impl ProvEvent {
     }
 }
 
-/// Default ring capacity: bounded memory even on corpus/monkey runs
-/// (~64 Ki events), yet far above what the gallery cases emit.
+/// Default segment length: the hot tier seals after this many events
+/// (~64 Ki, far above what the gallery cases emit).
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
-
-/// A bounded event ring with an exact drop counter. Eviction is
-/// oldest-first; no code path panics (a zero-capacity ring simply
-/// drops everything it is offered).
-///
-/// The ring can carry a **sealed base**: an immutable, `Rc`-shared
-/// prefix produced by [`Ring::seal`]. Snapshot forks seal the parent's
-/// events once and then every fork shares the base copy-on-write (a
-/// refcount bump), appending its own divergent tail into `buf`.
-/// Readers see base-then-tail as one stream; eviction consumes the
-/// base logically via `base_skip` before touching the tail.
-#[derive(Debug, Clone, Default)]
-pub struct Ring {
-    /// Sealed shared prefix (`None` until the first [`Ring::seal`]).
-    base: Option<Rc<[ProvEvent]>>,
-    /// Events of `base` already evicted (never exceeds `base.len()`;
-    /// always 0 while `base` is `None`).
-    base_skip: usize,
-    buf: VecDeque<ProvEvent>,
-    cap: usize,
-    dropped: u64,
-    recorded: u64,
-}
-
-impl Ring {
-    /// An empty ring holding at most `cap` events.
-    pub fn new(cap: usize) -> Ring {
-        Ring {
-            base: None,
-            base_skip: 0,
-            // Do not pre-reserve `cap`: rings are sized for the worst
-            // case but most runs stay small.
-            buf: VecDeque::new(),
-            cap,
-            dropped: 0,
-            recorded: 0,
-        }
-    }
-
-    /// Live (non-evicted) events still answered from the sealed base.
-    #[inline]
-    fn base_len(&self) -> usize {
-        self.base.as_ref().map_or(0, |b| b.len()) - self.base_skip
-    }
-
-    /// Collapses the held events into a single `Rc`-shared immutable
-    /// base. O(len) when there is an unsealed tail or a partially
-    /// evicted base, a no-op otherwise; observable state (events,
-    /// counters, capacity) is unchanged. Clones taken after a seal
-    /// share the base copy-on-write — this is what makes snapshot
-    /// fan-out O(1) per fork in ring cost.
-    pub fn seal(&mut self) {
-        if self.buf.is_empty() && self.base_skip == 0 {
-            return;
-        }
-        let merged: Vec<ProvEvent> = self.events().cloned().collect();
-        self.base = Some(Rc::from(merged));
-        self.base_skip = 0;
-        self.buf.clear();
-    }
-
-    /// Appends an event, evicting the oldest (and counting the drop)
-    /// when full.
-    pub fn push(&mut self, ev: ProvEvent) {
-        self.recorded += 1;
-        if self.cap == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.len() >= self.cap {
-            // Oldest first: drain the sealed base logically before the
-            // private tail (the base itself is immutable and shared).
-            if self.base_len() > 0 {
-                self.base_skip += 1;
-            } else {
-                self.buf.pop_front();
-            }
-            self.dropped += 1;
-        }
-        self.buf.push_back(ev);
-    }
-
-    /// Events currently held, oldest first (sealed base, then the
-    /// private tail). The iterator is exact-size, so consumers (the
-    /// tiered [`Store`]'s segment sealer in particular) can
-    /// pre-reserve without a counting pass or a `snapshot()` Vec.
-    pub fn events(&self) -> RingIter<'_> {
-        let base = self.base.as_deref().unwrap_or(&[]);
-        RingIter {
-            base: base[self.base_skip..].iter(),
-            tail: self.buf.iter(),
-        }
-    }
-
-    /// Sequence number (index into the full recorded stream, starting
-    /// at 0) of the oldest held event; equals [`Ring::recorded`] when
-    /// nothing is held. Well-defined because eviction is strictly
-    /// oldest-first: the held events are always the most recent
-    /// `len()` of the stream.
-    pub fn first_seq(&self) -> u64 {
-        self.recorded - self.len() as u64
-    }
-
-    /// Held events whose sequence number is `>= seq`, oldest first —
-    /// incremental drain without the Vec allocation of a snapshot.
-    /// A `seq` older than the oldest held event yields everything
-    /// still held; a `seq` past the newest yields nothing.
-    pub fn iter_from(&self, seq: u64) -> RingIter<'_> {
-        let mut skip = usize::try_from(seq.saturating_sub(self.first_seq())).unwrap_or(usize::MAX);
-        let base = self.base.as_deref().unwrap_or(&[]);
-        let live = &base[self.base_skip..];
-        let in_base = skip.min(live.len());
-        skip -= in_base;
-        let mut tail = self.buf.iter();
-        let in_tail = skip.min(self.buf.len());
-        if in_tail > 0 {
-            tail.nth(in_tail - 1);
-        }
-        RingIter {
-            base: live[in_base..].iter(),
-            tail,
-        }
-    }
-
-    /// Drops every held event while leaving `recorded`/`dropped`
-    /// untouched, for the tiered [`Store`]: the events were just
-    /// *moved* into a sealed segment, not lost, so the drop counter
-    /// must not move and sequence numbers must keep advancing from
-    /// `recorded`.
-    pub(crate) fn clear_held(&mut self) {
-        self.base = None;
-        self.base_skip = 0;
-        self.buf.clear();
-    }
-
-    /// Number of events currently held.
-    pub fn len(&self) -> usize {
-        self.base_len() + self.buf.len()
-    }
-
-    /// Whether no events are held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total events offered (held + dropped).
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Events evicted or refused — exact.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The ring's capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-}
-
-/// Exact-size iterator over a [`Ring`]'s held events, oldest first —
-/// the sealed base slice followed by the private tail. Hand-rolled
-/// because `std::iter::Chain` forfeits `ExactSizeIterator`.
-#[derive(Debug, Clone)]
-pub struct RingIter<'a> {
-    base: std::slice::Iter<'a, ProvEvent>,
-    tail: std::collections::vec_deque::Iter<'a, ProvEvent>,
-}
-
-impl<'a> Iterator for RingIter<'a> {
-    type Item = &'a ProvEvent;
-
-    fn next(&mut self) -> Option<&'a ProvEvent> {
-        self.base.next().or_else(|| self.tail.next())
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.base.len() + self.tail.len();
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for RingIter<'_> {}
 
 /// A shared, cheaply clonable recorder handle. The [`Level`] lives
 /// *outside* the cell, so the `Off` check on the hot path is a plain
@@ -412,13 +227,10 @@ impl ExactSizeIterator for RingIter<'_> {}
 ///
 /// Clones share the same backing [`Store`]: the DVM, the shadow state
 /// and the kernel each hold one, producing a single globally ordered
-/// event stream per analyzed system. The store is either **flat** (the
-/// legacy bounded ring, dropping oldest on overflow) or **tiered**
-/// (hot ring + sealed compressed segments, lossless — see [`Store`]);
-/// every emitter goes through the same [`Handle::emit`] seam either
-/// way. Interior mutability is a single-owner `RefCell` (each analyzed
-/// system is single-threaded; the batch farm builds one system per job
-/// inside its worker).
+/// event stream per analyzed system; every emitter goes through the
+/// same [`Handle::emit`] seam. Interior mutability is a single-owner
+/// `RefCell` (each analyzed system is single-threaded; the batch farm
+/// builds one system per job inside its worker).
 #[derive(Debug, Clone, Default)]
 pub struct Handle {
     level: Level,
@@ -426,29 +238,18 @@ pub struct Handle {
 }
 
 impl Handle {
-    /// A recorder at `level` with the default ring capacity
+    /// A recorder at `level` with the default segment length
     /// ([`DEFAULT_CAPACITY`]); `Off` carries no store at all.
     pub fn new(level: Level) -> Handle {
         Handle::with_capacity(level, DEFAULT_CAPACITY)
     }
 
-    /// A flat (ring-only, legacy) recorder at `level` with an explicit
-    /// ring capacity.
+    /// A recorder at `level` sealing every `cap` events (a zero `cap`
+    /// clamps to 1); `Off` carries no store at all.
     pub fn with_capacity(level: Level, cap: usize) -> Handle {
-        Handle::from_store(level, Store::new(cap))
-    }
-
-    /// A tiered recorder at `level`: hot ring of `cap` events, sealed
-    /// segments beyond. Never drops (a zero `cap` degrades to the flat
-    /// drop-everything behavior, never a panic).
-    pub fn tiered(level: Level, cap: usize) -> Handle {
-        Handle::from_store(level, Store::tiered(cap))
-    }
-
-    fn from_store(level: Level, store: Store) -> Handle {
         let store = match level {
             Level::Off => None,
-            _ => Some(Rc::new(RefCell::new(store))),
+            _ => Some(Rc::new(RefCell::new(Store::new(cap)))),
         };
         Handle { level, store }
     }
@@ -471,11 +272,6 @@ impl Handle {
         self.level == Level::Full
     }
 
-    /// Whether the backing store is tiered (lossless sealed segments).
-    pub fn is_tiered(&self) -> bool {
-        self.store.as_ref().is_some_and(|s| s.borrow().is_tiered())
-    }
-
     /// Records an event (no-op when `Off`).
     #[inline]
     pub fn emit(&self, ev: ProvEvent) {
@@ -485,14 +281,10 @@ impl Handle {
     }
 
     /// Seals the hot tier's current events into an immutable segment
-    /// (no-op when `Off`, on an empty hot tier, or on a flat store —
-    /// sealing a flat store would silently unbound its memory).
+    /// (no-op when `Off` or on an empty hot tier).
     pub fn seal_segment(&self) {
         if let Some(store) = &self.store {
-            let mut s = store.borrow_mut();
-            if s.is_tiered() {
-                s.seal_segment();
-            }
+            store.borrow_mut().seal_segment();
         }
     }
 
@@ -510,8 +302,7 @@ impl Handle {
         self.store.as_ref().map_or(0, |s| s.borrow().recorded())
     }
 
-    /// Events dropped by the store (exact; always 0 for a tiered store
-    /// with nonzero hot capacity).
+    /// Events the store evicted with over-budget segments (exact).
     pub fn dropped(&self) -> u64 {
         self.store.as_ref().map_or(0, |s| s.borrow().dropped())
     }
@@ -522,31 +313,23 @@ impl Handle {
     }
 
     /// A frozen, thread-safe view of the store for `RunReport`
-    /// plumbing and the query layer — `None` unless the store is
-    /// tiered (flat runs keep reports lean, exactly as before this
-    /// subsystem existed). Sealed segments are shared by refcount;
-    /// only the hot tail is copied.
+    /// plumbing and the query layer (`None` when `Off`). Sealed
+    /// segments are shared by refcount; only the hot tail is copied.
     pub fn store_snapshot(&self) -> Option<ProvStore> {
-        let store = self.store.as_ref()?;
-        let s = store.borrow();
-        if !s.is_tiered() {
-            return None;
-        }
-        Some(s.freeze())
+        Some(self.store.as_ref()?.borrow().freeze())
     }
 
     /// An **independent** recorder continuing from this one's exact
-    /// current contents and counters, for snapshot forks: the hot
-    /// tier's held events are sealed into an `Rc`-shared immutable
-    /// base ([`Ring::seal`] — O(len) once, then every further fork
-    /// from the same state is O(1)) and sealed segments are shared by
-    /// refcount bump, so parent and fork diverge without copying
-    /// history. `Off` handles fork to `Off` handles at zero cost.
+    /// current contents and counters, for snapshot forks: sealed
+    /// segments are shared by refcount bump and only the hot tier (at
+    /// most one segment) is cloned. Forking never seals, so a forked
+    /// run cuts its segments exactly where a fresh run would. `Off`
+    /// handles fork to `Off` handles at zero cost.
     pub fn fork(&self) -> Handle {
-        let store = self.store.as_ref().map(|store| {
-            let forked = store.borrow_mut().fork();
-            Rc::new(RefCell::new(forked))
-        });
+        let store = self
+            .store
+            .as_ref()
+            .map(|store| Rc::new(RefCell::new(store.borrow().clone())));
         Handle {
             level: self.level,
             store,
@@ -761,15 +544,13 @@ pub struct ProvenanceSummary {
     pub level: Level,
     /// Total events offered to the store.
     pub recorded: u64,
-    /// Events the store evicted (exact; 0 for a tiered store with
-    /// nonzero hot capacity).
+    /// Events the store evicted with over-budget segments (exact).
     pub dropped: u64,
     /// [`FlowGraph::fingerprint`] over the held events.
     pub fingerprint: u64,
     /// [`FlowGraph::total_leak_paths`].
     pub leak_paths: usize,
-    /// Sealed segments the store held when digested (0 for a flat
-    /// store).
+    /// Sealed segments the store held when digested.
     pub segments: u32,
     /// Sealed segments the leak-path accounting actually decoded: the
     /// count is sink-kind-guided (`leak_paths` is exactly one path per
@@ -860,52 +641,6 @@ mod tests {
         assert_eq!(fork.recorded(), 0);
     }
 
-    #[test]
-    fn sealed_base_evicts_oldest_first_with_exact_drop_count() {
-        let mut ring = Ring::new(4);
-        for i in 0..4u32 {
-            ring.push(ProvEvent::Source {
-                label: i,
-                api: "s".into(),
-            });
-        }
-        ring.seal();
-        let mut fork = ring.clone();
-        // Overflow the fork: eviction must consume the shared base
-        // logically (oldest first) without disturbing the original.
-        for i in 4..7u32 {
-            fork.push(ProvEvent::Source {
-                label: i,
-                api: "s".into(),
-            });
-        }
-        let labels: Vec<u32> = fork
-            .events()
-            .map(|e| match e {
-                ProvEvent::Source { label, .. } => *label,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(labels, vec![3, 4, 5, 6]);
-        assert_eq!(fork.recorded(), 7);
-        assert_eq!(fork.dropped(), 3);
-        assert_eq!(ring.len(), 4);
-        assert_eq!(ring.dropped(), 0);
-
-        // Re-sealing a partially evicted ring compacts it and keeps
-        // the observable stream identical.
-        fork.seal();
-        let after: Vec<u32> = fork
-            .events()
-            .map(|e| match e {
-                ProvEvent::Source { label, .. } => *label,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(after, vec![3, 4, 5, 6]);
-        assert_eq!(fork.dropped(), 3);
-    }
-
     fn source(label: u32, api: &str) -> ProvEvent {
         ProvEvent::Source {
             label,
@@ -960,28 +695,17 @@ mod tests {
     }
 
     #[test]
-    fn ring_is_bounded_with_exact_drop_counter() {
-        let mut r = Ring::new(3);
-        for i in 0..5u32 {
-            r.push(source(1 << i, "s"));
+    fn zero_capacity_clamps_to_one_and_keeps_everything() {
+        let h = Handle::with_capacity(Level::Summary, 0);
+        for i in 0..10u32 {
+            h.emit(source(1 << i, "s"));
         }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.recorded(), 5);
-        assert_eq!(r.dropped(), 2);
-        // Oldest-first eviction: 0 and 1 are gone, 2..5 remain.
-        let labels: Vec<u32> = r.events().map(ProvEvent::label).collect();
-        assert_eq!(labels, vec![4, 8, 16]);
-    }
-
-    #[test]
-    fn zero_capacity_ring_never_panics() {
-        let mut r = Ring::new(0);
-        for _ in 0..10 {
-            r.push(source(1, "s"));
-        }
-        assert!(r.is_empty());
-        assert_eq!(r.dropped(), 10);
-        assert_eq!(r.recorded(), 10);
+        assert_eq!(h.recorded(), 10);
+        assert_eq!(h.dropped(), 0);
+        // Every push past the first seals its predecessor alone.
+        assert_eq!(h.segments(), 9);
+        let labels: Vec<u32> = h.snapshot().iter().map(ProvEvent::label).collect();
+        assert_eq!(labels, (0..10).map(|i| 1 << i).collect::<Vec<u32>>());
     }
 
     #[test]

@@ -1,16 +1,16 @@
-//! The tiered provenance store: a hot [`Ring`] in front of immutable,
+//! The provenance store: a hot `Vec` of events in front of immutable,
 //! delta/varint-compressed **sealed segments**.
 //!
-//! The PR 5 ring is bounded and lossy by design — fine for one app,
-//! wrong at fleet scale where the evidence trail *is* the product
-//! (μDep-style taint-killing variants are distinguished only by the
-//! recorded transform chain). The tiered store keeps the ring as the
-//! hot tier and, instead of evicting on overflow, compacts the ring's
-//! contents into a [`SealedSegment`]: a per-segment interned string
-//! table plus a tag/varint byte stream (monotonic pc deltas for
-//! native-block runs, single-byte labels for the common few-bit
-//! masks), roughly 3–10 bytes per event against the ~56-byte in-memory
-//! [`ProvEvent`].
+//! Fleet-scale analysis needs the whole evidence trail, not a lossy
+//! window of it (μDep-style taint-killing variants are distinguished
+//! only by the recorded transform chain). So when the hot tier fills,
+//! the store compacts it into a [`SealedSegment`]: a per-segment
+//! interned string table plus a tag/varint byte stream (monotonic pc
+//! deltas for native-block runs, single-byte labels for the common
+//! few-bit masks), roughly 3–10 bytes per event against the ~56-byte
+//! in-memory [`ProvEvent`]. Only when the sealed bytes pass
+//! [`SEALED_BUDGET`] are the oldest segments evicted, whole and
+//! counted, so no guest can grow host memory without bound.
 //!
 //! Each segment's header carries its **label-bit union**, a **kind
 //! mask** (one bit per [`EventKind`]) and a **bloom-style name
@@ -21,15 +21,15 @@
 //! work), but they never skip a segment holding a relevant event.
 //!
 //! Segments are `Arc`-shared: snapshot forks clone the segment list by
-//! refcount bump (the PR 8 sealed-base trick, one tier up), and the
-//! frozen [`ProvStore`] view is `Send + Sync` so it can ride on
-//! `RunReport` across the batch farm's worker threads.
+//! refcount bump, and the frozen [`ProvStore`] view is `Send + Sync`
+//! so it can ride on `RunReport` across the batch farm's worker
+//! threads.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use crate::varint;
-use crate::{Direction, ProvEvent, Ring, SinkCtx};
+use crate::{Direction, ProvEvent, SinkCtx};
 
 /// The seven event shapes, as bits of a segment's
 /// [`SealedSegment::kind_mask`] and as query filters
@@ -351,88 +351,97 @@ impl SealedSegment {
     }
 }
 
-/// The tiered (or flat) backend behind [`crate::Handle`].
+/// Sealed bytes one [`Store`] may hold before its oldest segments are
+/// evicted: the in-memory worst case of a full [`crate::DEFAULT_CAPACITY`]
+/// segment of uncompressed events, so one store's memory stays within
+/// a small constant multiple of it however long the guest runs.
+pub const SEALED_BUDGET: usize = 4 << 20;
+
+/// The provenance backend behind [`crate::Handle`]: a hot `Vec` of at
+/// most `cap` events in front of `Arc`-shared [`SealedSegment`]s.
 ///
-/// **Flat** (`Store::new`): exactly the legacy bounded ring — overflow
-/// evicts oldest and counts the drop. **Tiered** (`Store::tiered`):
-/// when the hot ring is about to overflow (or on an explicit
-/// [`Store::seal_segment`]), its contents are compacted into a
-/// [`SealedSegment`] instead and the ring is emptied — nothing is ever
-/// dropped, and sequence numbers keep running through both tiers.
-#[derive(Debug, Clone, Default)]
+/// When the hot tier is about to overflow (or on an explicit
+/// [`Store::seal_segment`]) its contents are compacted into a sealed
+/// segment and the hot tier is emptied; sequence numbers keep running
+/// through both tiers. Nothing is lost until the sealed bytes pass the
+/// budget ([`SEALED_BUDGET`]): then whole segments are evicted oldest
+/// first (the newest always survives) and [`Store::dropped`] grows by
+/// exactly their event count. Held memory is therefore at most one
+/// segment of uncompressed events plus the budget plus one segment.
+#[derive(Debug, Clone)]
 pub struct Store {
-    hot: Ring,
-    tiered: bool,
-    segments: Vec<Arc<SealedSegment>>,
+    hot: Vec<ProvEvent>,
+    /// Segment length; never 0.
+    cap: usize,
+    segments: VecDeque<Arc<SealedSegment>>,
     /// Events held across all sealed segments (sum of their counts).
-    sealed_len: u64,
+    sealed_len: usize,
+    /// Encoded bytes held across all sealed segments.
+    sealed_bytes: usize,
+    /// Eviction threshold for `sealed_bytes` ([`SEALED_BUDGET`]
+    /// outside unit tests).
+    budget: usize,
+    recorded: u64,
+    dropped: u64,
 }
 
 impl Store {
-    /// A flat store: the legacy bounded ring, nothing more.
+    /// A store sealing every `cap` events (a zero `cap` clamps to 1).
     pub fn new(cap: usize) -> Store {
         Store {
-            hot: Ring::new(cap),
-            tiered: false,
-            segments: Vec::new(),
+            // Do not pre-reserve `cap`: the default is sized for long
+            // runs but most runs stay small.
+            hot: Vec::new(),
+            cap: cap.max(1),
+            segments: VecDeque::new(),
             sealed_len: 0,
+            sealed_bytes: 0,
+            budget: SEALED_BUDGET,
+            recorded: 0,
+            dropped: 0,
         }
     }
 
-    /// A tiered store with a hot ring of `cap` events. A zero `cap`
-    /// degrades to the flat drop-everything ring behavior (an empty
-    /// hot tier can never be sealed), never a panic.
-    pub fn tiered(cap: usize) -> Store {
-        Store {
-            hot: Ring::new(cap),
-            tiered: true,
-            segments: Vec::new(),
-            sealed_len: 0,
-        }
-    }
-
-    /// Whether overflow seals (tiered) rather than drops (flat).
-    pub fn is_tiered(&self) -> bool {
-        self.tiered
-    }
-
-    /// Appends an event. Tiered: seals the hot tier first when it is
-    /// full, so the push itself never evicts. Flat: the legacy
-    /// evict-oldest-and-count behavior.
+    /// Appends an event, sealing the hot tier first when it is full.
     pub fn push(&mut self, ev: ProvEvent) {
-        if self.tiered && self.hot.capacity() > 0 && self.hot.len() >= self.hot.capacity() {
+        if self.hot.len() >= self.cap {
             self.seal_segment();
         }
+        self.recorded += 1;
         self.hot.push(ev);
     }
 
     /// Compacts the hot tier's current events into a sealed segment
-    /// (no-op when the hot tier is empty). Counters and sequence
-    /// numbers are unaffected: the events move tiers, they are not
-    /// dropped.
+    /// (no-op when the hot tier is empty), then evicts the oldest
+    /// segments while the sealed bytes exceed the budget. Moving
+    /// events between tiers never touches the counters; only eviction
+    /// adds to `dropped`.
     pub fn seal_segment(&mut self) {
         if self.hot.is_empty() {
             return;
         }
-        let seg = SealedSegment::encode(self.hot.first_seq(), self.hot.events());
-        self.sealed_len += u64::from(seg.count);
-        self.segments.push(Arc::new(seg));
-        self.hot.clear_held();
+        let first_seq = self.recorded - self.hot.len() as u64;
+        let seg = SealedSegment::encode(first_seq, self.hot.iter());
+        self.hot.clear();
+        self.sealed_len += seg.len();
+        self.sealed_bytes += seg.encoded_size();
+        self.segments.push_back(Arc::new(seg));
+        while self.sealed_bytes > self.budget && self.segments.len() > 1 {
+            let old = self.segments.pop_front().expect("more than one segment");
+            self.sealed_len -= old.len();
+            self.sealed_bytes -= old.encoded_size();
+            self.dropped += old.len() as u64;
+        }
     }
 
     /// The sealed segments, oldest first.
-    pub fn segments(&self) -> &[Arc<SealedSegment>] {
+    pub fn segments(&self) -> &VecDeque<Arc<SealedSegment>> {
         &self.segments
-    }
-
-    /// The hot tier.
-    pub fn hot(&self) -> &Ring {
-        &self.hot
     }
 
     /// Events currently held across both tiers.
     pub fn len(&self) -> usize {
-        self.sealed_len as usize + self.hot.len()
+        self.sealed_len + self.hot.len()
     }
 
     /// Whether no events are held.
@@ -442,13 +451,12 @@ impl Store {
 
     /// Total events offered (held + dropped).
     pub fn recorded(&self) -> u64 {
-        self.hot.recorded()
+        self.recorded
     }
 
-    /// Events dropped — exact; always 0 for a tiered store with
-    /// nonzero hot capacity.
+    /// Events evicted with over-budget segments — exact.
     pub fn dropped(&self) -> u64 {
-        self.hot.dropped()
+        self.dropped
     }
 
     /// The full held event stream, oldest first: sealed segments
@@ -458,7 +466,7 @@ impl Store {
         for seg in &self.segments {
             seg.decode_into(&mut out);
         }
-        out.extend(self.hot.events().cloned());
+        out.extend_from_slice(&self.hot);
         out
     }
 
@@ -468,6 +476,13 @@ impl Store {
     /// only segments whose kind mask contains [`EventKind::Sink`] and
     /// scan the hot tier. Returns `(count, segments_decoded)`.
     pub fn count_leak_paths(&self) -> (usize, u32) {
+        fn sink_bits(events: &[ProvEvent]) -> usize {
+            events
+                .iter()
+                .filter(|ev| ev.is_sink())
+                .map(|ev| ev.label().count_ones() as usize)
+                .sum()
+        }
         let mut count = 0usize;
         let mut decoded = 0u32;
         let mut scratch = Vec::new();
@@ -478,32 +493,9 @@ impl Store {
             decoded += 1;
             scratch.clear();
             seg.decode_into(&mut scratch);
-            for ev in &scratch {
-                if ev.is_sink() {
-                    count += ev.label().count_ones() as usize;
-                }
-            }
+            count += sink_bits(&scratch);
         }
-        for ev in self.hot.events() {
-            if ev.is_sink() {
-                count += ev.label().count_ones() as usize;
-            }
-        }
-        (count, decoded)
-    }
-
-    /// An independent store continuing from this one's exact contents
-    /// and counters: sealed segments are shared by refcount bump, the
-    /// hot ring is sealed ([`Ring::seal`]) so the fork shares its
-    /// prefix copy-on-write.
-    pub fn fork(&mut self) -> Store {
-        self.hot.seal();
-        Store {
-            hot: self.hot.clone(),
-            tiered: self.tiered,
-            segments: self.segments.clone(),
-            sealed_len: self.sealed_len,
-        }
+        (count + sink_bits(&self.hot), decoded)
     }
 
     /// A frozen, thread-safe ([`Send`] + [`Sync`]) view: sealed
@@ -511,13 +503,12 @@ impl Store {
     /// immutable tail. Repeated freezes of an unchanged store are
     /// equal ([`ProvStore`] is `Eq`).
     pub fn freeze(&self) -> ProvStore {
-        let tail: Vec<ProvEvent> = self.hot.events().cloned().collect();
         ProvStore {
-            segments: self.segments.clone(),
-            tail: Arc::from(tail),
-            tail_first_seq: self.hot.first_seq(),
-            recorded: self.hot.recorded(),
-            dropped: self.hot.dropped(),
+            segments: self.segments.iter().cloned().collect(),
+            tail: Arc::from(self.hot.as_slice()),
+            tail_first_seq: self.recorded - self.hot.len() as u64,
+            recorded: self.recorded,
+            dropped: self.dropped,
         }
     }
 }
@@ -586,5 +577,153 @@ impl ProvStore {
     /// [`SealedSegment::encoded_size`]).
     pub fn encoded_size(&self) -> usize {
         self.segments.iter().map(|s| s.encoded_size()).sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{FlowGraph, ProvQuery};
+
+    /// A deterministic mixed stream: sources, native blocks and sinks
+    /// with varied labels, so segments differ in size and in kind mask.
+    fn stream(n: usize) -> Vec<ProvEvent> {
+        (0..n)
+            .map(|i| {
+                let label = 1u32 << (i % 5) | (i as u32 & 0x30);
+                match i % 3 {
+                    0 => ProvEvent::Source {
+                        label,
+                        api: format!("src-{i}"),
+                    },
+                    1 => ProvEvent::NativeBlock {
+                        start_pc: 0x8000 + 4 * i as u32,
+                        insns: 1 + i as u32 % 9,
+                        label,
+                    },
+                    _ => ProvEvent::Sink {
+                        sink: "send".into(),
+                        dest: format!("host-{}", i % 4),
+                        label,
+                        ctx: SinkCtx::Native,
+                    },
+                }
+            })
+            .collect()
+    }
+
+    fn fill(cap: usize, budget: usize, events: &[ProvEvent]) -> Store {
+        let mut store = Store {
+            budget,
+            ..Store::new(cap)
+        };
+        for ev in events {
+            store.push(ev.clone());
+        }
+        store
+    }
+
+    #[test]
+    fn over_budget_evicts_oldest_segments_with_exact_drop_count() {
+        let events = stream(120);
+        let unbounded = fill(4, usize::MAX, &events);
+        let sizes: Vec<usize> = unbounded
+            .segments
+            .iter()
+            .map(|s| s.encoded_size())
+            .collect();
+        let budget = 3 * sizes[0];
+        let store = fill(4, budget, &events);
+
+        // The survivors are exactly the newest segments of the
+        // unbounded store, unchanged (same first_seq, same bytes).
+        let evicted = unbounded.segments.len() - store.segments.len();
+        assert!(evicted > 0, "the budget must bite");
+        assert!(store
+            .segments
+            .iter()
+            .eq(unbounded.segments.iter().skip(evicted)));
+        let lost: usize = unbounded
+            .segments
+            .iter()
+            .take(evicted)
+            .map(|s| s.len())
+            .sum();
+        assert_eq!(store.dropped(), lost as u64);
+        assert_eq!(store.recorded(), events.len() as u64);
+        assert_eq!(store.segments[0].first_seq(), store.dropped());
+        // Eviction stops as soon as the budget holds again.
+        assert!(store.sealed_bytes <= budget);
+        assert!(store.sealed_bytes + sizes[evicted - 1] > budget);
+        assert_eq!(store.hot, unbounded.hot);
+
+        // The held window is the stream's suffix; queries and the
+        // sink-guided leak-path count agree with a naive scan of it.
+        let held = &events[lost..];
+        assert_eq!(store.events_vec(), held);
+        let frozen = store.freeze();
+        for bits in [0x1u32, 0x4, 0x10, 0x30] {
+            let got: Vec<(u64, ProvEvent)> = ProvQuery::new()
+                .label(bits)
+                .run(&frozen)
+                .hits
+                .into_iter()
+                .map(|h| (h.seq, h.event))
+                .collect();
+            let naive: Vec<(u64, ProvEvent)> = held
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.label() & bits != 0)
+                .map(|(i, e)| ((lost + i) as u64, e.clone()))
+                .collect();
+            assert_eq!(got, naive, "label {bits:#x}");
+        }
+        assert_eq!(
+            store.count_leak_paths().0,
+            FlowGraph::build(held).total_leak_paths()
+        );
+    }
+
+    #[test]
+    fn held_memory_stays_within_one_segment_plus_budget() {
+        let events = stream(300);
+        let cap = 8;
+        let budget = 200;
+        let mut store = Store {
+            budget,
+            ..Store::new(cap)
+        };
+        for (i, ev) in events.iter().enumerate() {
+            store.push(ev.clone());
+            let newest = store.segments.back().map_or(0, |s| s.encoded_size());
+            assert!(store.hot.len() <= cap);
+            assert_eq!(
+                store.sealed_bytes,
+                store
+                    .segments
+                    .iter()
+                    .map(|s| s.encoded_size())
+                    .sum::<usize>()
+            );
+            assert!(store.sealed_bytes <= budget + newest);
+            // Whole segments go, oldest first: the held events are
+            // always the stream's suffix from `dropped` on.
+            assert_eq!(store.len() as u64 + store.dropped(), i as u64 + 1);
+            let first = store
+                .segments
+                .front()
+                .map_or(store.recorded - store.hot.len() as u64, |s| s.first_seq());
+            assert_eq!(first, store.dropped());
+        }
+        assert!(store.dropped() > 0);
+    }
+
+    #[test]
+    fn a_lone_oversized_segment_survives() {
+        let events = stream(16);
+        let store = fill(8, 1, &events);
+        assert_eq!(store.segments.len(), 1, "the newest segment always stays");
+        assert_eq!(store.dropped(), 0);
+        assert_eq!(store.events_vec(), events);
     }
 }

@@ -1,12 +1,12 @@
 //! LEB128 variable-length integers and zigzag signed mapping — the
-//! wire primitives of the sealed-segment encoding ([`crate::store`]).
+//! wire primitives of the sealed-segment encoding ([`crate::SealedSegment`]).
 //!
 //! A [`crate::ProvEvent`] in memory is dominated by `String` headers
 //! and enum padding (56–64 bytes); on the wire the same event is a tag
 //! byte, a varint label, and one or two varint string-table indices.
 //! Small values — interned-string indices, label masks with few bits,
 //! pc deltas between consecutive basic blocks — take one or two bytes,
-//! which is what buys the ≥60% size reduction the tiered store is for.
+//! which is what buys the ≥60% size reduction the sealed tier is for.
 
 /// Appends `v` to `out` as unsigned LEB128 (7 bits per byte, high bit
 /// = continuation). At most 10 bytes for a `u64`.

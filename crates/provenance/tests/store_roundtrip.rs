@@ -1,12 +1,12 @@
-//! Tiered-store round-trip properties: for any generated event stream
-//! the seal→decode cycle must reproduce the exact `ProvEvent`s and the
-//! exact FNV flow-graph fingerprint the flat ring would have produced
-//! (nothing dropped), the varint encoding must stay under the
+//! Store round-trip properties: for any generated event stream the
+//! seal→decode cycle must reproduce the exact `ProvEvent`s and the
+//! exact FNV flow-graph fingerprint an unsealed store would have
+//! produced (nothing dropped), the varint encoding must stay under the
 //! compression bound the bench gate enforces, and the query layer must
 //! agree with a naive scan. Failures replay with `TESTKIT_SEED`.
 
 use ndroid_provenance::{
-    Direction, FlowGraph, Handle, Level, ProvEvent, ProvQuery, Ring, SinkCtx, Store,
+    Direction, FlowGraph, Handle, Level, ProvEvent, ProvQuery, SinkCtx, Store,
 };
 use ndroid_testkit::prelude::*;
 
@@ -80,55 +80,56 @@ fn stream(raw: &[(u8, u32, u32)]) -> Vec<ProvEvent> {
 
 proptest! {
     /// The acceptance property: seal→decode reproduces the exact
-    /// event stream, nothing is ever dropped, and the graph
-    /// fingerprint equals the flat ring's for the same events — so
-    /// every existing fingerprint gate is invariant under the tiered
-    /// backend.
+    /// event stream, nothing is dropped under the budget, and the
+    /// graph fingerprint equals that of a store holding the same
+    /// events unsealed — so every fingerprint gate is invariant under
+    /// the segment length.
     #[test]
     fn seal_decode_reproduces_stream_and_fingerprint(
         hot_cap in 1usize..48,
         raw in collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 0..256),
     ) {
         let events = stream(&raw);
-        let tiered = Handle::tiered(Level::Full, hot_cap);
-        let flat = Handle::with_capacity(Level::Full, events.len().max(1));
+        let sealed = Handle::with_capacity(Level::Full, hot_cap);
+        let whole = Handle::with_capacity(Level::Full, events.len().max(1));
         for ev in &events {
-            tiered.emit(ev.clone());
-            flat.emit(ev.clone());
+            sealed.emit(ev.clone());
+            whole.emit(ev.clone());
         }
-        prop_assert_eq!(tiered.dropped(), 0u64, "tiered never drops");
-        prop_assert_eq!(tiered.recorded(), events.len() as u64);
-        prop_assert_eq!(tiered.snapshot(), events.clone());
+        prop_assert_eq!(sealed.dropped(), 0u64, "nothing dropped under the budget");
+        prop_assert_eq!(whole.segments(), 0usize);
+        prop_assert_eq!(sealed.recorded(), events.len() as u64);
+        prop_assert_eq!(sealed.snapshot(), events.clone());
         prop_assert_eq!(
-            FlowGraph::build(&tiered.snapshot()).fingerprint(),
-            FlowGraph::build(&flat.snapshot()).fingerprint()
+            FlowGraph::build(&sealed.snapshot()).fingerprint(),
+            FlowGraph::build(&whole.snapshot()).fingerprint()
         );
-        // The summary digests match across backends except for the
-        // tier counters, and the sink-guided leak-path count equals
+        // The summary digests match across segment lengths except for
+        // the tier counters, and the sink-guided leak-path count equals
         // the graph walk.
-        let ts = tiered.summary().expect("on");
-        let fs = flat.summary().expect("on");
-        prop_assert_eq!(ts.fingerprint, fs.fingerprint);
-        prop_assert_eq!(ts.leak_paths, fs.leak_paths);
+        let ss = sealed.summary().expect("on");
+        let ws = whole.summary().expect("on");
+        prop_assert_eq!(ss.fingerprint, ws.fingerprint);
+        prop_assert_eq!(ss.leak_paths, ws.leak_paths);
         prop_assert_eq!(
-            ts.leak_paths,
+            ss.leak_paths,
             FlowGraph::build(&events).total_leak_paths()
         );
-        prop_assert!(ts.segments_decoded <= ts.segments);
+        prop_assert!(ss.segments_decoded <= ss.segments);
     }
 
-    /// Sealing is deterministic: the same stream through two tiered
-    /// stores produces byte-identical segments (`SealedSegment` is
-    /// `Eq` over contents), the invariant the worker-count gates rest
-    /// on. The frozen view inherits it.
+    /// Sealing is deterministic: the same stream through two stores
+    /// produces byte-identical segments (`SealedSegment` is `Eq` over
+    /// contents), the invariant the worker-count gates rest on. The
+    /// frozen view inherits it.
     #[test]
     fn sealing_is_a_pure_function_of_the_stream(
         hot_cap in 1usize..16,
         raw in collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 0..96),
     ) {
         let events = stream(&raw);
-        let mut a = Store::tiered(hot_cap);
-        let mut b = Store::tiered(hot_cap);
+        let mut a = Store::new(hot_cap);
+        let mut b = Store::new(hot_cap);
         for ev in &events {
             a.push(ev.clone());
             b.push(ev.clone());
@@ -148,7 +149,7 @@ proptest! {
         raw in collection::vec((any::<u8>(), 0u32..0x1000, any::<u32>()), 192..512),
     ) {
         let events = stream(&raw);
-        let mut store = Store::tiered(64);
+        let mut store = Store::new(64);
         for ev in &events {
             store.push(ev.clone());
         }
@@ -176,7 +177,7 @@ proptest! {
         raw in collection::vec((any::<u8>(), 0u32..0x40, any::<u32>()), 0..128),
     ) {
         let events = stream(&raw);
-        let mut store = Store::tiered(hot_cap);
+        let mut store = Store::new(hot_cap);
         for ev in &events {
             store.push(ev.clone());
         }
@@ -197,70 +198,83 @@ proptest! {
         );
     }
 
-    /// Ring iterator contracts: `events()` is exact-size through
-    /// seal/evict cycles, and `iter_from(seq)` yields exactly the held
-    /// suffix from `seq` on.
+    /// Sequence-number contracts: a seq-range query from `seq` on
+    /// yields exactly the held suffix from `seq`, with each event's
+    /// own sequence number, wherever the segment boundaries (and an
+    /// explicit mid-stream seal) fell; the frozen tail starts at
+    /// `recorded - tail.len()`.
     #[test]
-    fn ring_iterators_are_exact(
+    fn seq_range_queries_are_exact_suffixes(
         cap in 1usize..24,
         seal_at in any::<u8>(),
         raw in collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 0..96),
     ) {
         let events = stream(&raw);
-        let mut ring = Ring::new(cap);
+        let mut store = Store::new(cap);
         for (i, ev) in events.iter().enumerate() {
-            ring.push(ev.clone());
+            store.push(ev.clone());
             if i == seal_at as usize {
-                ring.seal();
+                store.seal_segment();
             }
         }
-        let it = ring.events();
-        prop_assert_eq!(it.len(), ring.len());
-        let held: Vec<ProvEvent> = it.cloned().collect();
-        prop_assert_eq!(held.len(), ring.len());
-
-        let first = ring.first_seq();
-        prop_assert_eq!(first, events.len() as u64 - ring.len() as u64);
-        for seq in [0, first, first + ring.len() as u64 / 2, events.len() as u64 + 3] {
-            let suffix: Vec<ProvEvent> = ring.iter_from(seq).cloned().collect();
-            let skip = (seq.saturating_sub(first) as usize).min(held.len());
-            prop_assert_eq!(ring.iter_from(seq).len(), held.len() - skip);
-            prop_assert_eq!(suffix, held[skip..].to_vec());
+        let frozen = store.freeze();
+        prop_assert_eq!(frozen.len(), events.len());
+        prop_assert_eq!(
+            frozen.tail_first_seq(),
+            frozen.recorded() - frozen.tail().len() as u64
+        );
+        let n = events.len() as u64;
+        for seq in [0, n / 2, frozen.tail_first_seq(), n, n + 3] {
+            let got: Vec<(u64, ProvEvent)> = ProvQuery::new()
+                .seq_range(seq, u64::MAX)
+                .run(&frozen)
+                .hits
+                .into_iter()
+                .map(|h| (h.seq, h.event))
+                .collect();
+            let skip = seq.min(n) as usize;
+            let expected: Vec<(u64, ProvEvent)> = events[skip..]
+                .iter()
+                .enumerate()
+                .map(|(i, e)| ((skip + i) as u64, e.clone()))
+                .collect();
+            prop_assert_eq!(got, expected);
         }
     }
 
-    /// A zero-capacity tiered store degrades to the flat
-    /// drop-everything behavior: nothing panics, nothing seals,
+    /// A zero capacity clamps to one: nothing panics, nothing is
+    /// dropped, every push past the first seals its predecessor, and
     /// counters stay exact.
     #[test]
-    fn zero_capacity_tiered_store_never_panics(
+    fn zero_capacity_store_clamps_to_one(
         raw in collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 0..32),
     ) {
         let events = stream(&raw);
-        let h = Handle::tiered(Level::Summary, 0);
+        let h = Handle::with_capacity(Level::Summary, 0);
         for ev in &events {
             h.emit(ev.clone());
         }
         prop_assert_eq!(h.recorded(), events.len() as u64);
-        prop_assert_eq!(h.dropped(), events.len() as u64);
-        prop_assert_eq!(h.segments(), 0usize);
-        prop_assert!(h.snapshot().is_empty());
+        prop_assert_eq!(h.dropped(), 0u64);
+        prop_assert_eq!(h.segments(), events.len().saturating_sub(1));
+        prop_assert_eq!(h.snapshot(), events);
     }
 
-    /// Fork continuity under the tiered backend: a fork carries the
-    /// parent's exact events and counters (segments shared by
-    /// refcount), then the two diverge independently.
+    /// Fork continuity: a fork carries the parent's exact events,
+    /// counters and segment boundaries (segments shared by refcount,
+    /// never sealed at fork time), then the two diverge independently.
     #[test]
-    fn tiered_fork_shares_history_then_diverges(
+    fn fork_shares_history_then_diverges(
         hot_cap in 1usize..8,
         raw in collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 1..64),
     ) {
         let events = stream(&raw);
-        let parent = Handle::tiered(Level::Full, hot_cap);
+        let parent = Handle::with_capacity(Level::Full, hot_cap);
         for ev in &events {
             parent.emit(ev.clone());
         }
         let child = parent.fork();
+        prop_assert_eq!(child.store_snapshot(), parent.store_snapshot());
         prop_assert_eq!(child.snapshot(), parent.snapshot());
         prop_assert_eq!(child.recorded(), parent.recorded());
         parent.emit(event(0, 0x1, 0));

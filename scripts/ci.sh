@@ -46,6 +46,11 @@ stage "benchmark package builds against the workspace crates"
 # the benchmark fail in CI instead of at benchmark time.
 cargo build --release --offline --manifest-path ndbench/Cargo.toml
 
+stage "rustdoc: no broken or private intra-doc links"
+# Deleting or privatizing an item must not leave a doc link dangling;
+# rustdoc only warns about that, so deny its warnings here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 stage "cargo test --offline"
 cargo test -q --workspace --offline
 
@@ -89,7 +94,7 @@ cargo run -q --release --offline -p ndroid-bench --bin exp_adversarial -- --engi
 
 stage "provenance store: fleet query transcript must match the golden"
 # Runs the gallery + adversarial corpus through the farm with the
-# tiered store sealing at capacity 4 and diffs the rendered cross-run
+# provenance store sealing every 4 events and diffs the rendered cross-run
 # ProvQuery results (plus per-job segment/decode counters) against the
 # checked-in golden (crates/bench/src/bin/exp_prov_query_golden.txt).
 # Re-bless with `--bless` after an intentional corpus or wire-format
@@ -130,7 +135,7 @@ for f in BENCH_cfbench.json BENCH_ablations.json BENCH_taint.json BENCH_oracle.j
     exit 1
   fi
 done
-# The provenance suite additionally records the tiered-store scalars
+# The provenance suite additionally records the sealed-segment scalars
 # the compression gate is stated in terms of; the bench binary itself
 # asserts bytes_per_event stays at or under 40% of the in-memory
 # ProvEvent size.
