@@ -94,35 +94,6 @@ impl App {
         }
         Ok(sys)
     }
-
-    /// Like [`App::run`], but applies `configure` to the booted system
-    /// before the entry point runs — for knobs not yet expressible as
-    /// [`SystemConfig`] fields. Prefer [`App::run_with`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates interpreter/guest failures.
-    pub fn run_configured(
-        self,
-        mode: Mode,
-        configure: impl FnOnce(&mut NDroidSystem),
-    ) -> Result<NDroidSystem, DvmError> {
-        let entry = self.entry.clone();
-        let native_entry = self.native_entry;
-        let mut sys = self.launch(mode);
-        configure(&mut sys);
-        match native_entry {
-            // Type-III (pure native) app: the entry is ARM code.
-            Some(addr) => {
-                sys.run_native(addr, &[])
-                    .map_err(|e| DvmError::NativeFailure(e.to_string()))?;
-            }
-            None => {
-                sys.run_java(&entry.0, &entry.1, &[])?;
-            }
-        }
-        Ok(sys)
-    }
 }
 
 /// Builder for [`App`]s: a Dalvik program (framework installed), an

@@ -70,8 +70,8 @@ pub fn run_store(
 /// the uncached stepper, and the reference engine — asserts each
 /// report names the engine that was requested and that only `Blocks`
 /// compiled blocks, asserts the three agree on everything externally
-/// observable, and returns the reference-engine report for pinned-leak
-/// checks.
+/// observable and on the deterministic tracer counters, and returns
+/// the reference-engine report for pinned-leak checks.
 pub fn assert_reports_match(build: impl Fn() -> App, name: &str) -> RunReport {
     let reports = [
         NativeEngine::Blocks,
@@ -92,7 +92,36 @@ pub fn assert_reports_match(build: impl Fn() -> App, name: &str) -> RunReport {
         );
     }
     let [(_, blocks), (_, stepper), (_, reference)] = reports;
+    let stats = |r: &RunReport| r.stats.clone().expect("ndroid stats");
+    let b = stats(&blocks);
+    let s = stats(&stepper);
+    // Both optimized engines classify every retired instruction.
+    assert_eq!(
+        (b.insns_traced, b.insns_skipped),
+        (s.insns_traced, s.insns_skipped),
+        "{name}: tracer (traced, skipped) counts diverge between blocks and stepper"
+    );
     for (other, r) in [("stepper", &stepper), ("reference", &reference)] {
+        // Every engine sees the same branch and JNI-entry stream.
+        let o = stats(r);
+        assert_eq!(
+            (
+                b.branch_events,
+                b.chains_activated,
+                b.deep_hooks,
+                b.unconditional_hooks,
+                b.jni_entries
+            ),
+            (
+                o.branch_events,
+                o.chains_activated,
+                o.deep_hooks,
+                o.unconditional_hooks,
+                o.jni_entries
+            ),
+            "{name}: (branch events, chains, deep hooks, unconditional hooks, JNI entries) \
+             diverge between blocks and {other}"
+        );
         assert_eq!(
             blocks.sink_events, r.sink_events,
             "{name}: sink-event reports diverge between blocks and {other}"

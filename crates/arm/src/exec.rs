@@ -35,6 +35,9 @@ pub struct Effect {
     pub pc: u32,
     /// Instruction size in bytes (4 for ARM, 2 or 4 for Thumb).
     pub size: u8,
+    /// Whether the instruction was fetched in Thumb state (an
+    /// interworking branch may have switched `cpu.thumb` since).
+    pub thumb: bool,
     /// Whether the condition passed and the instruction executed.
     pub executed: bool,
     /// Control transfer taken, if any.
@@ -95,6 +98,7 @@ pub fn step_decoded(
         instr,
         pc,
         size,
+        thumb: cpu.thumb,
         executed: false,
         branch: None,
         addr: None,

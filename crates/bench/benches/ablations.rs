@@ -12,7 +12,7 @@
 
 use ndroid_arm::reg::RegList;
 use ndroid_arm::{Assembler, Cond, Reg};
-use ndroid_core::{NDroidAnalysis, NativeEngine};
+use ndroid_core::{NDroidAnalysis, NativeEngine, SystemConfig};
 use ndroid_dvm::framework::install_framework;
 use ndroid_dvm::{Program, Taint};
 use ndroid_emu::layout::NATIVE_CODE_BASE;
@@ -61,9 +61,7 @@ fn build_sys(asm: Assembler, engine: NativeEngine) -> ndroid_core::NDroidSystem 
     install_framework(&mut program);
     let mut sys = ndroid_core::NDroidSystem::from_config(
         program,
-        ndroid_core::SystemConfig::ndroid()
-            .quiet(true)
-            .engine(engine),
+        SystemConfig::ndroid().quiet(true).engine(engine),
     );
     let code = asm.assemble().unwrap();
     sys.load_native(&code, "libablate.so");
@@ -99,8 +97,7 @@ fn ablate_multilevel(suite: &mut Suite) {
     // Simulate unconditional hooking cost: every inner entry pays a
     // policy lookup + trace-formatting charge (what the paper's naive
     // alternative would do inside dvmInterpret).
-    let mut a = NDroidAnalysis::new();
-    a.gate_hooks = false;
+    let mut a = NDroidAnalysis::from_config(&SystemConfig::ndroid().gate_hooks(false));
     let mut sh = ShadowState::new();
     suite.bench("ablate_multilevel/ungated_counterfactual", || {
         let mut work = 0u64;

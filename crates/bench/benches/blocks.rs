@@ -6,15 +6,17 @@
 //! `TESTKIT_BENCH_SMOKE=1` runs a minimal pass for CI.
 
 use ndroid_arm::block::{build_block, BlockCache};
-use ndroid_arm::exec::step;
 use ndroid_arm::{Assembler, Cond, Cpu, Memory, Reg};
 use ndroid_cfbench::all_kernels;
 use ndroid_core::{Mode, NDroidAnalysis, NativeEngine, SystemConfig};
-use ndroid_emu::runtime::Analysis;
+use ndroid_dvm::{Dvm, Program};
+use ndroid_emu::kernel::Kernel;
+use ndroid_emu::layout::RETURN_SENTINEL;
+use ndroid_emu::runtime::{run_until_return, HostTable, NativeCtx};
 use ndroid_emu::shadow::ShadowState;
+use ndroid_emu::trace::TraceLog;
 use ndroid_testkit::bench::{black_box, Suite};
 
-const SENTINEL: u32 = 0xFFFF_FF00;
 /// Kernel iterations for the end-to-end cfbench A/B.
 const KERNEL_ITERS: u32 = 500;
 
@@ -54,52 +56,47 @@ fn build_benches(suite: &mut Suite) {
     });
 }
 
-/// The tentpole A/B at the dispatch level: one hot loop traced by the
-/// full NDroid analysis, once through `step` + `on_insn` (the stepper)
-/// and once through cached effect programs (`on_block`).
+/// The A/B at the dispatch level: one hot loop traced by the full
+/// NDroid analysis through the production run loop, once stepped per
+/// instruction (`step` + `on_insn`) and once through cached effect
+/// programs (`on_block`). Each arm's context is built outside the
+/// timed closure, so only the dispatch is measured.
 fn exec_benches(suite: &mut Suite) {
     let base = 0x0001_0000;
-    let mut mem = Memory::new();
-    hot_loop(&mut mem, base);
-
-    let mut cpu = Cpu::new();
-    let mut analysis = NDroidAnalysis::new();
-    let mut shadow = ShadowState::new();
-    suite.bench("exec/hot_loop/stepper_traced", || {
-        cpu.regs[14] = SENTINEL;
-        cpu.set_pc(base);
-        while cpu.pc() != SENTINEL {
-            let effect = step(&mut cpu, &mut mem).expect("step");
-            analysis.on_insn(&mut shadow, &cpu, &mem, &effect);
-        }
-        black_box(cpu.regs[0]);
-    });
-
-    let mut cpu = Cpu::new();
-    let mut analysis = NDroidAnalysis::new();
-    let mut shadow = ShadowState::new();
-    let mut blocks = BlockCache::new();
-    suite.bench("exec/hot_loop/block_traced", || {
-        cpu.regs[14] = SENTINEL;
-        cpu.set_pc(base);
-        let mut budget = 1_000_000u64;
-        while cpu.pc() != SENTINEL {
-            let pc = cpu.pc();
-            if let Some(block) = blocks.lookup(&mem, pc, cpu.thumb) {
-                analysis
-                    .on_block(&mut shadow, &mut cpu, &mut mem, block, &mut budget)
-                    .expect("block run");
-            } else {
-                let block =
-                    build_block(&mem, pc, cpu.thumb, |_| false).expect("block");
-                let block = blocks.insert(&mem, block);
-                analysis
-                    .on_block(&mut shadow, &mut cpu, &mut mem, block, &mut budget)
-                    .expect("block run");
-            }
-        }
-        black_box(cpu.regs[0]);
-    });
+    for (name, engine) in [
+        ("stepper_traced", NativeEngine::Stepper),
+        ("block_traced", NativeEngine::Blocks),
+    ] {
+        let mut cpu = Cpu::new();
+        let mut mem = Memory::new();
+        hot_loop(&mut mem, base);
+        let mut dvm = Dvm::new(Program::new());
+        let mut shadow = ShadowState::new();
+        let mut kernel = Kernel::new();
+        let mut trace = TraceLog::disabled();
+        let mut analysis = NDroidAnalysis::new();
+        let mut budget = u64::MAX;
+        let mut blocks = BlockCache::new();
+        blocks.enabled = engine == NativeEngine::Blocks;
+        let table = HostTable::new();
+        let mut ctx = NativeCtx {
+            cpu: &mut cpu,
+            mem: &mut mem,
+            dvm: &mut dvm,
+            shadow: &mut shadow,
+            kernel: &mut kernel,
+            trace: &mut trace,
+            analysis: &mut analysis,
+            budget: &mut budget,
+            blocks: &mut blocks,
+        };
+        suite.bench(&format!("exec/hot_loop/{name}"), || {
+            ctx.cpu.regs[14] = RETURN_SENTINEL;
+            ctx.cpu.set_pc(base);
+            run_until_return(&mut ctx, &table).expect("hot loop returns");
+            black_box(ctx.cpu.regs[0]);
+        });
+    }
 }
 
 /// End-to-end cfbench kernels on the `Stepper` vs `Blocks` native

@@ -15,14 +15,14 @@
 
 use ndroid_apps::adversarial::{corpus, expected_leak};
 use ndroid_apps::farm::Adversarial;
+use ndroid_bench::check_golden;
 use ndroid_core::batch::{run_batch, BatchConfig, JobSource};
 use ndroid_core::{score_batch, NativeEngine, ProvenanceLevel, SystemConfig};
 use ndroid_dvm::Taint;
 
 const GOLDEN: &str = include_str!("exp_adversarial_golden.txt");
 
-/// Where `--bless` writes the regenerated golden (the source tree, so
-/// the next build picks it up via `include_str!`).
+/// Where `--bless` writes the regenerated golden.
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/src/bin/exp_adversarial_golden.txt"
@@ -61,7 +61,6 @@ fn render_case(case: &ndroid_apps::adversarial::AdversarialCase, engine: NativeE
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let bless = args.iter().any(|a| a == "--bless");
     let engine = match args
         .iter()
         .position(|a| a == "--engine")
@@ -95,24 +94,5 @@ fn main() {
         std::process::exit(1);
     }
 
-    if bless {
-        std::fs::write(GOLDEN_PATH, &actual).expect("write golden");
-        println!("\ngolden blessed: {GOLDEN_PATH}");
-        return;
-    }
-
-    if actual != GOLDEN {
-        eprintln!("\nadversarial transcript DIVERGED from golden:");
-        for (i, (a, g)) in actual.lines().zip(GOLDEN.lines()).enumerate() {
-            if a != g {
-                eprintln!("  line {}:\n    actual: {a}\n    golden: {g}", i + 1);
-            }
-        }
-        let (na, ng) = (actual.lines().count(), GOLDEN.lines().count());
-        if na != ng {
-            eprintln!("  line counts differ: actual {na} vs golden {ng}");
-        }
-        std::process::exit(1);
-    }
-    println!("\nadversarial score matrix and leak paths match golden");
+    check_golden("adversarial transcript", &actual, GOLDEN, GOLDEN_PATH);
 }

@@ -48,7 +48,7 @@ fn attack(target: u32, what: &str) {
     let app = b.finish("Lapp/A;", "main").unwrap();
     let mut sys = app.launch(Mode::NDroid);
     sys.run_java("Lapp/A;", "main", &[]).unwrap();
-    let violations = &sys.ndroid_analysis_mut().unwrap().violations;
+    let violations = sys.report().violations;
     println!("attack: {what}");
     for v in violations.iter() {
         println!(
@@ -82,7 +82,7 @@ fn main() {
     let entry = app.entry.clone();
     let mut sys = app.launch(Mode::NDroid);
     sys.run_java(&entry.0, &entry.1, &[]).unwrap();
-    let violations = &sys.ndroid_analysis_mut().unwrap().violations;
+    let violations = sys.report().violations;
     println!(
         "control (PoC case 2, legitimate JNI): {} violations (expected 0)",
         violations.len()

@@ -12,21 +12,19 @@
 //! corpus or store-format change.
 
 use ndroid_apps::farm::{Adversarial, Gallery};
+use ndroid_bench::check_golden;
 use ndroid_core::batch::{jobs_from, run_batch, BatchConfig};
 use ndroid_core::{EventKind, ProvQuery, ProvenanceLevel, SystemConfig};
 
 const GOLDEN: &str = include_str!("exp_prov_query_golden.txt");
 
-/// Where `--bless` writes the regenerated golden (the source tree, so
-/// the next build picks it up via `include_str!`).
+/// Where `--bless` writes the regenerated golden.
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/src/bin/exp_prov_query_golden.txt"
 );
 
 fn main() {
-    let bless = std::env::args().any(|a| a == "--bless");
-
     let config = SystemConfig::ndroid()
         .quiet(true)
         .provenance(ProvenanceLevel::Full)
@@ -71,24 +69,5 @@ fn main() {
     }
     print!("{actual}");
 
-    if bless {
-        std::fs::write(GOLDEN_PATH, &actual).expect("write golden");
-        println!("\ngolden blessed: {GOLDEN_PATH}");
-        return;
-    }
-
-    if actual != GOLDEN {
-        eprintln!("\nprovenance query transcript DIVERGED from golden:");
-        for (i, (a, g)) in actual.lines().zip(GOLDEN.lines()).enumerate() {
-            if a != g {
-                eprintln!("  line {}:\n    actual: {a}\n    golden: {g}", i + 1);
-            }
-        }
-        let (na, ng) = (actual.lines().count(), GOLDEN.lines().count());
-        if na != ng {
-            eprintln!("  line counts differ: actual {na} vs golden {ng}");
-        }
-        std::process::exit(1);
-    }
-    println!("\nprovenance query transcript matches golden");
+    check_golden("provenance query transcript", &actual, GOLDEN, GOLDEN_PATH);
 }

@@ -4,10 +4,12 @@
 //! source→sink leak path from the flow graph, and diffs the rendering
 //! against the golden transcript below. Exits 1 on any divergence —
 //! the leak-path pins are as load-bearing as the `LeakEvent` pins in
-//! `gallery_regression`. Pass `--dot` to also dump each case's flow
-//! graph in DOT for manual inspection.
+//! `gallery_regression`. Pass `--bless` to rewrite the golden after an
+//! intentional gallery change, and `--dot` to also dump each case's
+//! flow graph in DOT for manual inspection.
 
 use ndroid_apps::{crypto_hider, qq_phonebook, thumb_spy, App};
+use ndroid_bench::check_golden;
 use ndroid_core::{ProvenanceLevel, SystemConfig};
 use ndroid_dvm::Taint;
 
@@ -20,6 +22,12 @@ const GALLERY: [(&str, fn() -> App); 3] = [
 /// The pinned per-case leak-path transcripts (label names resolved via
 /// [`Taint::bit_name`], paths in sink order then bit order).
 const GOLDEN: &str = include_str!("exp_provenance_golden.txt");
+
+/// Where `--bless` writes the regenerated golden.
+const GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/src/bin/exp_provenance_golden.txt"
+);
 
 fn render_case(name: &str, build: fn() -> App, dot: bool) -> String {
     let sys = build()
@@ -59,18 +67,5 @@ fn main() {
         actual.push_str(&render_case(name, build, dot));
     }
     print!("{actual}");
-    if actual != GOLDEN {
-        eprintln!("\nleak-path transcript DIVERGED from golden:");
-        for (i, (a, g)) in actual.lines().zip(GOLDEN.lines()).enumerate() {
-            if a != g {
-                eprintln!("  line {}:\n    actual: {a}\n    golden: {g}", i + 1);
-            }
-        }
-        let (na, ng) = (actual.lines().count(), GOLDEN.lines().count());
-        if na != ng {
-            eprintln!("  line counts differ: actual {na} vs golden {ng}");
-        }
-        std::process::exit(1);
-    }
-    println!("\nleak-path transcript matches golden");
+    check_golden("leak-path transcript", &actual, GOLDEN, GOLDEN_PATH);
 }

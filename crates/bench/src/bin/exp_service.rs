@@ -10,20 +10,12 @@
 //! divergence — this is the golden check `scripts/ci.sh` runs.
 
 use ndroid_apps::farm::{Adversarial, CorpusShard, Gallery};
+use ndroid_bench::arg_after;
 use ndroid_core::batch::{jobs_from, run_batch, AnalysisJob, BatchConfig, Lane};
 use ndroid_core::{AnalysisService, ServiceConfig, SystemConfig};
 
 const SHARD_SIZE: usize = 32;
 const SHARD_SEED: u64 = 0xD514;
-
-fn arg_after(flag: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// The gate's job list in submission order: bulk shard first, then the
 /// interactive gallery + adversarial corpus (matching the lanes the

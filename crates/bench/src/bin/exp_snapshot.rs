@@ -8,20 +8,12 @@
 //! this is the golden check `scripts/ci.sh` runs.
 
 use ndroid_apps::farm::Monkey;
+use ndroid_bench::arg_after;
 use ndroid_core::batch::{run_batch, BatchConfig, JobSource};
 use ndroid_core::SystemConfig;
 
 const STEPS: usize = 25;
 const BASE_SEED: u64 = 0x5EED;
-
-fn arg_after(flag: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn main() {
     let sessions = arg_after("--sessions", 1000);

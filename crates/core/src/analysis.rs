@@ -2,7 +2,7 @@
 //! emulator — DVM hook engine callbacks, the instruction tracer, and
 //! the multilevel-hooking bookkeeping.
 
-use crate::config::SourcePolicyOverride;
+use crate::config::{SourcePolicyOverride, SystemConfig};
 use crate::source_policy::{SourcePolicy, SourcePolicyMap};
 use crate::tracer::{apply_taint_op, propagate};
 use ndroid_arm::block::{is_taint_relevant, Block};
@@ -90,15 +90,11 @@ pub(crate) fn protected_region(addr: u32) -> Option<&'static str> {
 #[derive(Clone)]
 pub struct NDroidAnalysis {
     policies: SourcePolicyMap,
-    /// Whether multilevel gating is applied (ablation D1; when false,
-    /// every inner-function entry counts as instrumented).
-    pub gate_hooks: bool,
-    /// Whether the §VII taint-protection extension is active: native
-    /// stores into VM-private regions are recorded as violations.
-    pub protect_taints: bool,
-    /// Overrides the §V-B source-policy installation rule (set from
-    /// [`crate::SystemConfig::source_policies`]).
-    pub policy_override: SourcePolicyOverride,
+    // Fixed at construction from `SystemConfig::{gate_hooks,
+    // protect_taints, source_policies}`.
+    gate_hooks: bool,
+    protect_taints: bool,
+    policy_override: SourcePolicyOverride,
     /// Violations recorded by the taint protector.
     pub violations: Vec<ProtectionViolation>,
     // Fixed at construction (pure functions of the Table-III name
@@ -139,9 +135,16 @@ impl std::fmt::Debug for NDroidAnalysis {
 }
 
 impl NDroidAnalysis {
-    /// A fresh analysis with multilevel chains for every JNI-exit,
-    /// object-creation and exception function.
+    /// A fresh analysis under the default NDroid configuration.
     pub fn new() -> NDroidAnalysis {
+        NDroidAnalysis::from_config(&SystemConfig::ndroid())
+    }
+
+    /// A fresh analysis with multilevel chains for every JNI-exit,
+    /// object-creation and exception function, with hook gating
+    /// (ablation D1), the §VII taint protector and the §V-B
+    /// source-policy rule taken from `config`.
+    pub fn from_config(config: &SystemConfig) -> NDroidAnalysis {
         let mut chain_specs = HashMap::new();
         for name in jni_names() {
             if let Some((_, form)) = parse_call_name(name) {
@@ -201,9 +204,9 @@ impl NDroidAnalysis {
         .collect();
         NDroidAnalysis {
             policies: SourcePolicyMap::new(),
-            gate_hooks: true,
-            protect_taints: true,
-            policy_override: SourcePolicyOverride::AsPaper,
+            gate_hooks: config.gate_hooks,
+            protect_taints: config.protect_taints,
+            policy_override: config.source_policies,
             violations: Vec::new(),
             chain_specs: Rc::new(chain_specs),
             inner_addrs: Rc::new(inner_addrs),
@@ -275,7 +278,7 @@ impl Analysis for NDroidAnalysis {
         true
     }
 
-    fn on_insn(&mut self, shadow: &mut ShadowState, cpu: &Cpu, mem: &Memory, effect: &Effect) {
+    fn on_insn(&mut self, shadow: &mut ShadowState, _cpu: &Cpu, mem: &Memory, effect: &Effect) {
         // The paper's tracer pays a real per-instruction decode: "It
         // takes time to decide each instruction because there are 148
         // ARM instructions and 73 Thumb instructions and each
@@ -285,8 +288,10 @@ impl Analysis for NDroidAnalysis {
         // translation layer, and a self-patched instruction is
         // classified from the bytes now in memory). The paper's
         // hot-instruction cache is the superblock cache, which reaches
-        // this tracer through `on_block` instead.
-        let relevant = if cpu.thumb {
+        // this tracer through `on_block` instead. The ISA is the one the
+        // instruction was fetched in: after a Thumb `bx`/`pop {pc}` to
+        // ARM, `cpu.thumb` already names the target's state.
+        let relevant = if effect.thumb {
             is_taint_relevant(&effect.instr)
         } else {
             decode_arm(mem.read_u32(effect.pc), effect.pc).is_ok_and(|i| is_taint_relevant(&i))
@@ -561,6 +566,7 @@ mod tests {
             instr,
             pc,
             size: 4,
+            thumb: false,
             executed: true,
             branch: None,
             addr: None,

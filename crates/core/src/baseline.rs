@@ -120,6 +120,7 @@ mod tests {
             },
             pc: 0x1000_0000,
             size: 4,
+            thumb: false,
             executed: true,
             branch: None,
             addr: None,

@@ -3,7 +3,7 @@
 //!
 //! Historically every knob had its own entry point — `NDroidSystem::new`
 //! picked the mode, `quiet()` silenced the trace, ablation code poked
-//! `ndroid_analysis_mut()`, and the differential oracle swapped engines
+//! the analysis's fields, and the differential oracle swapped engines
 //! through `use_reference_engine()`. The batch farm ([`crate::batch`])
 //! runs thousands of systems from a work list, so construction has to
 //! be a value, not a call sequence: a `SystemConfig` fully describes a

@@ -13,9 +13,11 @@
 //! the harness ([`check_oracle`]) executes the same program under the
 //! stepper, the superblock engine and the reference engine from
 //! identical initial state and diffs the final register / VFP / memory
-//! taint byte-for-byte. A disagreement indicts the production
-//! pipeline, because the reference engine is small enough to audit
-//! against the paper's Table V by eye.
+//! taint byte-for-byte. The two optimized engines run through the
+//! production dispatcher ([`run_until_return`]) itself, not a copy of
+//! it, so their deterministic tracer counters are diffed too. A
+//! disagreement indicts the production pipeline, because the reference
+//! engine is small enough to audit against the paper's Table V by eye.
 //!
 //! Three consumers: the property suite in `tests/oracle_prop.rs`
 //! (random ARM/Thumb programs with writeback addressing, all four
@@ -24,18 +26,21 @@
 //! equality tests in `crates/apps`, which run full apps with
 //! [`ReferenceAnalysis`] substituted for the optimized analysis.
 
-use crate::analysis::{protected_region, NDroidAnalysis, ProtectionViolation};
-use ndroid_arm::block::{build_block, BlockCache};
+use crate::analysis::{protected_region, AnalysisStats, NDroidAnalysis, ProtectionViolation};
+use crate::config::NativeEngine;
+use ndroid_arm::block::BlockCache;
 use ndroid_arm::exec::{step, Effect};
 use ndroid_arm::insn::{Instr, MemOffset, Op2, VfpOp, VfpPrec};
 use ndroid_arm::mem::Memory;
 use ndroid_arm::reg::Reg;
 use ndroid_arm::Cpu;
-use ndroid_dvm::{Dvm, MethodId, Taint};
+use ndroid_dvm::{Dvm, MethodId, Program, Taint};
+use ndroid_emu::kernel::Kernel;
 use ndroid_emu::layout::RETURN_SENTINEL;
-use ndroid_emu::runtime::Analysis;
+use ndroid_emu::runtime::{run_until_return, Analysis, HostTable, NativeCtx};
 use ndroid_emu::shadow::{HashTaintMap, RefShadowState, ShadowState, TaintMap};
 use ndroid_emu::trace::TraceLog;
+use ndroid_emu::EmuError;
 
 /// Byte-granular taint memory, as seen by the reference interpreter.
 ///
@@ -397,53 +402,16 @@ fn seed_cpu_mem(p: &OracleProgram) -> (Cpu, Memory) {
     (cpu, mem)
 }
 
-/// Runs a program under the **stepper** pipeline: uncached `step` plus
-/// [`NDroidAnalysis::on_insn`] (re-identification, Table V lowering,
-/// paged taint map).
-pub fn run_stepper(
+/// Runs a program under the production dispatcher
+/// ([`run_until_return`], the loop every app's native code runs
+/// through) on a throwaway context: empty host table, no JNI, trace
+/// off. `Blocks` enables the superblock cache, any other engine steps
+/// per instruction through `analysis.on_insn`. `p.max_steps` is the
+/// instruction budget, so the retired-step count must agree with
+/// [`run_reference`] bit for bit.
+pub fn run_engine(
     p: &OracleProgram,
-    analysis: &mut NDroidAnalysis,
-    shadow: &mut ShadowState,
-) -> EngineRun {
-    let (mut cpu, mut mem) = seed_cpu_mem(p);
-    shadow.regs = p.reg_taints;
-    for (addr, len, t) in &p.mem_taints {
-        shadow.mem.set_range(*addr, *len, *t);
-    }
-    let mut steps = 0u64;
-    let stop = loop {
-        if cpu.pc() == RETURN_SENTINEL {
-            break StopReason::Returned;
-        }
-        if steps == p.max_steps {
-            break StopReason::MaxSteps;
-        }
-        match step(&mut cpu, &mut mem) {
-            Ok(effect) => {
-                analysis.on_insn(shadow, &cpu, &mem, &effect);
-                steps += 1;
-            }
-            Err(_) => break StopReason::Fault,
-        }
-    };
-    EngineRun {
-        regs: cpu.regs,
-        thumb: cpu.thumb,
-        steps,
-        stop,
-    }
-}
-
-/// Runs a program under the **superblock** pipeline: the same
-/// [`NDroidAnalysis`] as [`run_stepper`], but dispatched through a
-/// fresh [`BlockCache`] the way the emulator run loop does it —
-/// straight-line runs compiled once into effect programs and replayed
-/// via [`Analysis::on_block`], with the per-instruction stepper as the
-/// fallback when no block can be built. `p.max_steps` is enforced
-/// through the block path's budget contract, so the retired-step count
-/// must agree with the stepper engines bit for bit.
-pub fn run_blocks(
-    p: &OracleProgram,
+    engine: NativeEngine,
     analysis: &mut NDroidAnalysis,
     shadow: &mut ShadowState,
 ) -> EngineRun {
@@ -453,37 +421,26 @@ pub fn run_blocks(
         shadow.mem.set_range(*addr, *len, *t);
     }
     let mut blocks = BlockCache::new();
+    blocks.enabled = engine == NativeEngine::Blocks;
     let mut budget = p.max_steps;
-    let stop = loop {
-        let pc = cpu.pc();
-        if pc == RETURN_SENTINEL {
-            break StopReason::Returned;
-        }
-        let dispatched = if let Some(block) = blocks.lookup(&mem, pc, cpu.thumb) {
-            Some(analysis.on_block(shadow, &mut cpu, &mut mem, block, &mut budget))
-        } else if let Some(block) = build_block(&mem, pc, cpu.thumb, |_| false) {
-            let block = blocks.insert(&mem, block);
-            Some(analysis.on_block(shadow, &mut cpu, &mut mem, block, &mut budget))
-        } else {
-            None
-        };
-        match dispatched {
-            Some(Ok(())) => continue,
-            Some(Err(ndroid_emu::EmuError::Timeout { .. })) => break StopReason::MaxSteps,
-            Some(Err(_)) => break StopReason::Fault,
-            None => {
-                // No block could be built (undecodable entry): the
-                // stepper fallback, under the same budget accounting.
-                if budget == 0 {
-                    break StopReason::MaxSteps;
-                }
-                budget -= 1;
-                match step(&mut cpu, &mut mem) {
-                    Ok(effect) => analysis.on_insn(shadow, &cpu, &mem, &effect),
-                    Err(_) => break StopReason::Fault,
-                }
-            }
-        }
+    let result = run_until_return(
+        &mut NativeCtx {
+            cpu: &mut cpu,
+            mem: &mut mem,
+            dvm: &mut Dvm::new(Program::new()),
+            shadow,
+            kernel: &mut Kernel::new(),
+            trace: &mut TraceLog::disabled(),
+            analysis,
+            budget: &mut budget,
+            blocks: &mut blocks,
+        },
+        &HostTable::new(),
+    );
+    let stop = match result {
+        Ok(()) => StopReason::Returned,
+        Err(EmuError::Timeout { .. }) => StopReason::MaxSteps,
+        Err(_) => StopReason::Fault,
     };
     // The budget is charged before each attempted step, so a faulting
     // instruction paid for itself without retiring.
@@ -501,14 +458,17 @@ pub fn run_blocks(
 
 /// Runs a program under the **reference** engine: plain `step` plus
 /// [`ref_propagate`] into a [`RefShadowState`] (sparse map, no
-/// classification).
-pub fn run_reference(p: &OracleProgram, shadow: &mut RefShadowState) -> EngineRun {
+/// classification, no block cache, no dispatcher). Also returns how
+/// many executed stores hit a VM-private region — the reference
+/// taint protector, independent of the tracer's skip classification.
+pub fn run_reference(p: &OracleProgram, shadow: &mut RefShadowState) -> (EngineRun, usize) {
     let (mut cpu, mut mem) = seed_cpu_mem(p);
     shadow.regs = p.reg_taints;
     for (addr, len, t) in &p.mem_taints {
         shadow.mem.set_range(*addr, *len, *t);
     }
     let mut steps = 0u64;
+    let mut violations = 0usize;
     let stop = loop {
         if cpu.pc() == RETURN_SENTINEL {
             break StopReason::Returned;
@@ -519,17 +479,22 @@ pub fn run_reference(p: &OracleProgram, shadow: &mut RefShadowState) -> EngineRu
         match step(&mut cpu, &mut mem) {
             Ok(effect) => {
                 ref_propagate(&mut shadow.regs, &mut shadow.vfp, &mut shadow.mem, &effect);
+                let stored = effect.executed && effect.instr.is_store();
+                if stored && effect.addr.and_then(protected_region).is_some() {
+                    violations += 1;
+                }
                 steps += 1;
             }
             Err(_) => break StopReason::Fault,
         }
     };
-    EngineRun {
+    let run = EngineRun {
         regs: cpu.regs,
         thumb: cpu.thumb,
         steps,
         stop,
-    }
+    };
+    (run, violations)
 }
 
 /// Byte-for-byte diff of the two engines' final taint state. Returns
@@ -598,7 +563,8 @@ pub struct OracleVerdict {
 /// Runs a program under all three engines — the stepper, the
 /// superblock pipeline, and the reference interpreter — and demands
 /// byte-for-byte equality of the final taint state, the architectural
-/// state, and the recorded protection violations.
+/// state, and the recorded protection violations, plus equal tracer
+/// counters between the stepper and the superblock pipeline.
 ///
 /// # Errors
 ///
@@ -607,14 +573,14 @@ pub struct OracleVerdict {
 pub fn check_oracle(p: &OracleProgram) -> Result<OracleVerdict, String> {
     let mut analysis = NDroidAnalysis::new();
     let mut step_shadow = ShadowState::new();
-    let step_run = run_stepper(p, &mut analysis, &mut step_shadow);
+    let step_run = run_engine(p, NativeEngine::Stepper, &mut analysis, &mut step_shadow);
 
     let mut blk_analysis = NDroidAnalysis::new();
     let mut blk_shadow = ShadowState::new();
-    let blk_run = run_blocks(p, &mut blk_analysis, &mut blk_shadow);
+    let blk_run = run_engine(p, NativeEngine::Blocks, &mut blk_analysis, &mut blk_shadow);
 
     let mut ref_shadow = RefShadowState::new();
-    let ref_run = run_reference(p, &mut ref_shadow);
+    let (ref_run, ref_violations) = run_reference(p, &mut ref_shadow);
 
     let mut diffs = Vec::new();
     if step_run != ref_run {
@@ -640,33 +606,34 @@ pub fn check_oracle(p: &OracleProgram) -> Result<OracleVerdict, String> {
             analysis.violations.len()
         ));
     }
-
-    // The reference protector is shared logic, but re-run it anyway:
-    // a wrong skip classification also swallows violation recording.
-    let mut ref_violations = 0usize;
-    {
-        let (mut cpu, mut mem) = seed_cpu_mem(p);
-        let mut steps = 0u64;
-        while cpu.pc() != RETURN_SENTINEL && steps < p.max_steps {
-            let Ok(effect) = step(&mut cpu, &mut mem) else {
-                break;
-            };
-            steps += 1;
-            if effect.executed && effect.instr.is_store() {
-                if let Some(addr) = effect.addr {
-                    if protected_region(addr).is_some() {
-                        ref_violations += 1;
-                    }
-                }
-            }
-        }
-    }
+    // A wrong skip classification also swallows violation recording,
+    // so the count is checked against the reference protector too.
     if analysis.violations.len() != ref_violations {
         diffs.push(format!(
             "protection violations: stepper {} != reference {}",
             analysis.violations.len(),
             ref_violations
         ));
+    }
+    // Both engines run the same dispatcher, so every deterministic
+    // tracer counter must agree between them.
+    let counters = |s: &AnalysisStats| {
+        [
+            ("insns_traced", s.insns_traced),
+            ("insns_skipped", s.insns_skipped),
+            ("branch_events", s.branch_events),
+            ("chains_activated", s.chains_activated),
+            ("deep_hooks", s.deep_hooks),
+            ("unconditional_hooks", s.unconditional_hooks),
+        ]
+    };
+    for ((name, stepper), (_, blocks)) in counters(&analysis.stats)
+        .into_iter()
+        .zip(counters(&blk_analysis.stats))
+    {
+        if stepper != blocks {
+            diffs.push(format!("{name}: stepper {stepper} != blocks {blocks}"));
+        }
     }
 
     if diffs.is_empty() {
@@ -763,6 +730,28 @@ mod tests {
         p.reg_taints[3] = Taint::CONTACTS;
         let v = check_oracle(&p).expect("oracle equality");
         assert_eq!(v.run.stop, StopReason::Returned);
+    }
+
+    #[test]
+    fn thumb_return_is_classified_in_the_isa_it_was_fetched_in() {
+        // A Thumb `bx lr` to the (even) return sentinel leaves the CPU
+        // in ARM state; the stepper must still skip it as a Thumb
+        // branch, not re-decode its halfwords as an ARM word.
+        let p = OracleProgram {
+            sections: vec![(NATIVE_CODE_BASE, 0x4770u16.to_le_bytes().to_vec())],
+            entry: NATIVE_CODE_BASE | 1,
+            regs: [0; 16],
+            reg_taints: [Taint::CLEAR; 16],
+            mem_taints: Vec::new(),
+            max_steps: 16,
+        };
+        check_oracle(&p).expect("oracle equality");
+        let mut analysis = NDroidAnalysis::new();
+        let mut shadow = ShadowState::new();
+        run_engine(&p, NativeEngine::Stepper, &mut analysis, &mut shadow);
+        let s = &analysis.stats;
+        assert_eq!((s.insns_traced, s.insns_skipped), (0, 1));
+        assert_eq!(s.branch_events, 1);
     }
 
     #[test]

@@ -130,10 +130,7 @@ fn analysis_for(config: &SystemConfig, dvm: &mut Dvm) -> AnalysisBox {
         Mode::Vanilla => AnalysisBox::Vanilla(VanillaAnalysis),
         Mode::TaintDroid => AnalysisBox::TaintDroid(TaintDroidAnalysis),
         Mode::NDroid => {
-            let mut a = NDroidAnalysis::new();
-            a.gate_hooks = config.gate_hooks;
-            a.protect_taints = config.protect_taints;
-            a.policy_override = config.source_policies;
+            let a = NDroidAnalysis::from_config(config);
             match config.engine {
                 NativeEngine::Blocks | NativeEngine::Stepper => AnalysisBox::NDroid(Box::new(a)),
                 NativeEngine::Reference => {
@@ -346,14 +343,6 @@ impl NDroidSystem {
             .into_iter()
             .filter(|e| e.is_leak())
             .collect()
-    }
-
-    /// Mutable access to the NDroid analysis (for ablation knobs).
-    pub fn ndroid_analysis_mut(&mut self) -> Option<&mut NDroidAnalysis> {
-        match &mut self.analysis {
-            AnalysisBox::NDroid(a) => Some(a.as_mut()),
-            _ => None,
-        }
     }
 
     /// The native engine this system was booted with.

@@ -221,6 +221,7 @@ mod tests {
             instr,
             pc: 0x1000_0000,
             size: 4,
+            thumb: false,
             executed: true,
             branch: None,
             addr,

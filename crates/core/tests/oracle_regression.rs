@@ -18,8 +18,8 @@ use ndroid_arm::cond::Cond;
 use ndroid_arm::encode::encode;
 use ndroid_arm::insn::{DpOp, Instr, MemOffset, MemSize, Op2};
 use ndroid_arm::reg::Reg;
-use ndroid_core::oracle::{check_oracle, run_stepper, OracleProgram, StopReason};
-use ndroid_core::NDroidAnalysis;
+use ndroid_core::oracle::{check_oracle, run_engine, OracleProgram, StopReason};
+use ndroid_core::{NDroidAnalysis, NativeEngine};
 use ndroid_dvm::Taint;
 use ndroid_emu::layout::{NATIVE_CODE_BASE, NATIVE_HEAP_BASE};
 use ndroid_emu::shadow::ShadowState;
@@ -78,7 +78,7 @@ fn post_indexed_load_writeback_taints_base() {
 
     let mut analysis = NDroidAnalysis::new();
     let mut shadow = ShadowState::new();
-    let run = run_stepper(&p, &mut analysis, &mut shadow);
+    let run = run_engine(&p, NativeEngine::Stepper, &mut analysis, &mut shadow);
     assert_eq!(run.stop, StopReason::Returned);
     assert!(
         shadow.regs[1].contains(Taint::CONTACTS),
@@ -104,7 +104,7 @@ fn pre_indexed_store_writeback_taints_base() {
 
     let mut analysis = NDroidAnalysis::new();
     let mut shadow = ShadowState::new();
-    let run = run_stepper(&p, &mut analysis, &mut shadow);
+    let run = run_engine(&p, NativeEngine::Stepper, &mut analysis, &mut shadow);
     assert_eq!(run.stop, StopReason::Returned);
     assert!(
         shadow.regs[1].contains(Taint::LOCATION),
@@ -126,7 +126,7 @@ fn immediate_writeback_leaves_base_clear() {
 
     let mut analysis = NDroidAnalysis::new();
     let mut shadow = ShadowState::new();
-    run_stepper(&p, &mut analysis, &mut shadow);
+    run_engine(&p, NativeEngine::Stepper, &mut analysis, &mut shadow);
     assert_eq!(shadow.regs[1], Taint::CLEAR);
     assert_eq!(shadow.regs[0], Taint::CLEAR);
 
@@ -182,7 +182,7 @@ fn smc_patched_store_is_reclassified_and_traced() {
 
     let mut analysis = NDroidAnalysis::new();
     let mut shadow = ShadowState::new();
-    let run = run_stepper(&p, &mut analysis, &mut shadow);
+    let run = run_engine(&p, NativeEngine::Stepper, &mut analysis, &mut shadow);
     assert_eq!(run.stop, StopReason::Returned);
     assert_eq!(
         shadow.mem.range_taint(DATA + 0x100, 4),

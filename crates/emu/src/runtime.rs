@@ -327,6 +327,19 @@ pub fn call_guest(
     Ok((r0, r0_taint))
 }
 
+/// Runs guest code from the current pc until it branches to
+/// [`RETURN_SENTINEL`]: the production dispatcher [`call_guest`] uses
+/// (block cache when `ctx.blocks.enabled`, host-table traps, the
+/// per-instruction stepper as fallback), with no argument marshalling
+/// and no caller-state save/restore.
+///
+/// # Errors
+///
+/// As [`call_guest`].
+pub fn run_until_return(ctx: &mut NativeCtx<'_>, table: &HostTable) -> Result<(), EmuError> {
+    run_loop(ctx, table)
+}
+
 fn run_loop(ctx: &mut NativeCtx<'_>, table: &HostTable) -> Result<(), EmuError> {
     loop {
         let pc = ctx.cpu.pc();

@@ -11,7 +11,7 @@
 use ndroid::apps::AppBuilder;
 use ndroid::arm::reg::RegList;
 use ndroid::arm::Reg;
-use ndroid::core::Mode;
+use ndroid::core::{Mode, SystemConfig};
 use ndroid::dvm::bytecode::DexInsn;
 use ndroid::dvm::{InvokeKind, MethodDef, MethodKind};
 
@@ -51,10 +51,10 @@ fn stack_manipulation_is_flagged() {
     let target = ndroid::dvm::stack::STACK_BASE + 0x24;
     let mut sys = attack_app(target, "stack-smash").launch(Mode::NDroid);
     sys.run_java("Lapp/Attack;", "main", &[]).unwrap();
-    let analysis = sys.ndroid_analysis_mut().unwrap();
-    assert_eq!(analysis.violations.len(), 1);
-    assert_eq!(analysis.violations[0].region, "dvm-stack");
-    assert_eq!(analysis.violations[0].addr, target);
+    let violations = sys.report().violations;
+    assert_eq!(violations.len(), 1);
+    assert_eq!(violations[0].region, "dvm-stack");
+    assert_eq!(violations[0].addr, target);
 }
 
 #[test]
@@ -62,9 +62,9 @@ fn heap_manipulation_is_flagged() {
     let target = ndroid::dvm::heap::HEAP_BASE + 0x100;
     let mut sys = attack_app(target, "heap-smash").launch(Mode::NDroid);
     sys.run_java("Lapp/Attack;", "main", &[]).unwrap();
-    let analysis = sys.ndroid_analysis_mut().unwrap();
-    assert_eq!(analysis.violations.len(), 1);
-    assert_eq!(analysis.violations[0].region, "dvm-heap");
+    let violations = sys.report().violations;
+    assert_eq!(violations.len(), 1);
+    assert_eq!(violations[0].region, "dvm-heap");
 }
 
 #[test]
@@ -73,8 +73,7 @@ fn trusted_function_modification_is_flagged() {
     let target = ndroid::emu::layout::LIBDVM_BASE + 0x40;
     let mut sys = attack_app(target, "libdvm-patch").launch(Mode::NDroid);
     sys.run_java("Lapp/Attack;", "main", &[]).unwrap();
-    let analysis = sys.ndroid_analysis_mut().unwrap();
-    assert_eq!(analysis.violations[0].region, "libdvm-text");
+    assert_eq!(sys.report().violations[0].region, "libdvm-text");
 }
 
 #[test]
@@ -83,19 +82,18 @@ fn normal_apps_trigger_no_violations() {
     let entry = app.entry.clone();
     let mut sys = app.launch(Mode::NDroid);
     sys.run_java(&entry.0, &entry.1, &[]).unwrap();
-    let analysis = sys.ndroid_analysis_mut().unwrap();
+    let violations = sys.report().violations;
     assert!(
-        analysis.violations.is_empty(),
-        "legitimate JNI use writes only its own memory: {:?}",
-        analysis.violations
+        violations.is_empty(),
+        "legitimate JNI use writes only its own memory: {violations:?}"
     );
 }
 
 #[test]
 fn protection_can_be_disabled() {
     let target = ndroid::dvm::stack::STACK_BASE;
-    let mut sys = attack_app(target, "stack-smash-off").launch(Mode::NDroid);
-    sys.ndroid_analysis_mut().unwrap().protect_taints = false;
+    let mut sys = attack_app(target, "stack-smash-off")
+        .launch_with(SystemConfig::ndroid().protect_taints(false));
     sys.run_java("Lapp/Attack;", "main", &[]).unwrap();
-    assert!(sys.ndroid_analysis_mut().unwrap().violations.is_empty());
+    assert!(sys.report().violations.is_empty());
 }
